@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,11 @@ import pytest
 from repro.experiments import ExperimentConfig
 
 RESULTS_DIR = Path(__file__).parent / "results"
+
+# The per-value and per-table reference implementations live beside the
+# tests (tests/oracles.py); appended, not prepended, so tests/conftest.py
+# never shadows this module.
+sys.path.append(str(Path(__file__).resolve().parent.parent / "tests"))
 
 _PRESETS = {
     "tiny": ExperimentConfig.tiny,

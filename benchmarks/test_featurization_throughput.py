@@ -1,18 +1,16 @@
-"""Featurization throughput: loop vs vectorized vs sharded, cold and warm.
+"""Featurization throughput: per-value loop oracle vs vectorized, cold and warm.
 
 Per-column featurization is the serving bottleneck (Table 2 of the paper),
 so its throughput is a tracked number, not a claim: this benchmark measures
 columns/sec for
 
-* the ``loop`` oracle backend (per-value Python),
-* the ``vectorized`` backend, cold (fresh engine, empty codepoint/token
-  memos) and warm (steady-state serving),
-* the sharded vectorized backend (``workers=4``), cold (includes process
-  pool spin-up) and warm,
+* the per-value loop oracle (``tests/oracles.py``, pure Python),
+* the vectorized engine, cold (fresh engine, empty codepoint/token memos)
+  and warm (steady-state serving),
 
-verifies loop/vectorized parity and shard bit-identity on the same batch,
-and persists both a human-readable report and a machine-readable JSON
-(uploaded as a CI artifact) under ``benchmarks/results/``.
+verifies loop/vectorized parity on the same batch, and persists both a
+human-readable report and a machine-readable JSON (uploaded as a CI
+artifact) under ``benchmarks/results/``.
 """
 
 from __future__ import annotations
@@ -23,22 +21,21 @@ import numpy as np
 
 from conftest import emit, emit_json, run_once
 
+from oracles import loop_transform_columns
 from repro.experiments.pipeline import build_corpus
 from repro.features import ColumnFeaturizer
 
 #: The tentpole acceptance bar: warm vectorized throughput must be at least
-#: this many times the loop backend's on the synthetic corpus.
+#: this many times the loop oracle's on the synthetic corpus.
 MIN_VECTORIZED_SPEEDUP = 3.0
-
-SHARD_WORKERS = 4
 
 #: Replicate the corpus columns so every timing covers a serving-sized batch.
 MIN_COLUMNS = 2000
 
 
-def _timed(featurizer: ColumnFeaturizer, columns) -> tuple[float, np.ndarray]:
+def _timed(transform, columns) -> tuple[float, np.ndarray]:
     started = time.perf_counter()
-    matrix = featurizer.transform_columns(columns)
+    matrix = transform(columns)
     return time.perf_counter() - started, matrix
 
 
@@ -53,23 +50,17 @@ def _throughput_comparison(config) -> dict:
         word_dim=config.word_dim,
         para_dim=config.para_dim,
         seed=config.seed,
-        backend="loop",
     )
     featurizer.fit(tables)
 
-    loop_seconds, loop_matrix = _timed(featurizer, columns)
+    loop_seconds, loop_matrix = _timed(
+        lambda batch: loop_transform_columns(featurizer, batch), columns
+    )
 
-    featurizer.set_backend("vectorized")
-    cold_seconds, vectorized_matrix = _timed(featurizer, columns)
-    warm_seconds, _ = _timed(featurizer, columns)
-
-    featurizer.set_backend("vectorized", workers=SHARD_WORKERS)
-    shard_cold_seconds, sharded_matrix = _timed(featurizer, columns)
-    shard_warm_seconds, _ = _timed(featurizer, columns)
-    featurizer.close()  # shut the worker pool down
+    cold_seconds, vectorized_matrix = _timed(featurizer.transform_columns, columns)
+    warm_seconds, _ = _timed(featurizer.transform_columns, columns)
 
     assert np.allclose(vectorized_matrix, loop_matrix, rtol=1e-6, atol=1e-9)
-    assert np.array_equal(vectorized_matrix, sharded_matrix)
 
     def rate(seconds: float) -> float:
         return n_columns / max(seconds, 1e-9)
@@ -86,19 +77,8 @@ def _throughput_comparison(config) -> dict:
             "seconds": warm_seconds,
             "columns_per_sec": rate(warm_seconds),
         },
-        "sharded_cold": {
-            "seconds": shard_cold_seconds,
-            "columns_per_sec": rate(shard_cold_seconds),
-            "workers": SHARD_WORKERS,
-        },
-        "sharded_warm": {
-            "seconds": shard_warm_seconds,
-            "columns_per_sec": rate(shard_warm_seconds),
-            "workers": SHARD_WORKERS,
-        },
         "speedup_vectorized_cold": loop_seconds / max(cold_seconds, 1e-9),
         "speedup_vectorized_warm": loop_seconds / max(warm_seconds, 1e-9),
-        "speedup_sharded_warm": loop_seconds / max(shard_warm_seconds, 1e-9),
     }
 
 
@@ -112,20 +92,18 @@ def test_featurization_throughput(benchmark, config):
         )
 
     lines = [
-        "Featurization throughput: loop vs vectorized vs sharded "
+        "Featurization throughput: loop oracle vs vectorized "
         f"({result['n_columns']} columns x {result['n_features']} features)",
-        line("loop", result["loop"]),
+        line("loop oracle", result["loop"]),
         line("vectorized cold", result["vectorized_cold"]),
         line("vectorized warm", result["vectorized_warm"]),
-        line(f"sharded x{SHARD_WORKERS} cold", result["sharded_cold"]),
-        line(f"sharded x{SHARD_WORKERS} warm", result["sharded_warm"]),
-        f"  speedup (warm)  : {result['speedup_vectorized_warm']:.1f}x vectorized, "
-        f"{result['speedup_sharded_warm']:.1f}x sharded",
+        f"  speedup         : {result['speedup_vectorized_cold']:.1f}x cold, "
+        f"{result['speedup_vectorized_warm']:.1f}x warm",
     ]
     emit("featurization_throughput", "\n".join(lines))
     emit_json("featurization_throughput", result)
 
-    # The acceptance bar for the vectorized backend, on steady-state traffic.
+    # The acceptance bar for the vectorized engine, on steady-state traffic.
     assert result["speedup_vectorized_warm"] >= MIN_VECTORIZED_SPEEDUP
     # A fresh engine must already beat the loop clearly, memos empty and all.
     assert result["speedup_vectorized_cold"] > 1.5

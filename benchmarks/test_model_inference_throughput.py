@@ -1,15 +1,17 @@
-"""Model-core inference throughput: per-table loop vs batched backend.
+"""Model-core inference throughput: per-table loop oracle vs batched path.
 
 The structured-prediction stage (column-network forward + CRF Viterbi, the
-paper's Table 2 efficiency story) is served through ``model_backend``:
+paper's Table 2 efficiency story) is measured two ways:
 
-* ``loop`` — the parity oracle: featurize, forward and Viterbi-decode one
-  table at a time (what a coalesced micro-batch paid before batching),
-* ``batched`` — one featurization call, one column-network forward pass
-  (a single matmul per layer over every column of every table) and one
-  masked ``viterbi_batch`` recurrence over the whole batch.
+* ``loop`` — the per-table decode oracle (``tests/oracles.py``): featurize,
+  forward and Viterbi-decode one table at a time (what a coalesced
+  micro-batch paid before batching),
+* ``batched`` — ``SatoModel.predict_tables``: one featurization call, one
+  column-network forward pass (a single matmul per layer over every column
+  of every table) and one masked ``viterbi_batch`` recurrence over the
+  whole batch.
 
-This benchmark measures tables/sec for both backends end to end, isolates
+This benchmark measures tables/sec for both end to end, isolates
 the Viterbi decode (per-chain loop vs one padded/masked batch decode), and
 checks the decode through a warm serving :class:`~repro.serving.Predictor`
 (features cached — exactly what a micro-batch dispatch pays per request).
@@ -34,11 +36,12 @@ import numpy as np
 
 from conftest import emit, emit_json, run_once
 
+from oracles import per_table_decode, per_table_predict
 from repro.experiments.pipeline import build_corpus, make_model_factories
 from repro.models.batched import pad_unaries
 from repro.serving import Predictor
 
-#: The tentpole acceptance bar: the batched backend must serve at least this
+#: The tentpole acceptance bar: the batched path must serve at least this
 #: many times the tables/sec of the per-table loop on the same batch.
 MIN_BATCHED_SPEEDUP = 2.0
 
@@ -69,9 +72,9 @@ def _throughput_comparison(config) -> dict:
     n_columns = sum(t.n_columns for t in serve)
 
     # --- end to end: loop vs batched (the CI-gated cells) --------------
-    model.set_model_backend("loop")
-    loop_seconds, loop_labels = _timed(lambda: model.predict_tables(serve), repeats=3)
-    model.set_model_backend("batched")
+    loop_seconds, loop_labels = _timed(
+        lambda: per_table_predict(model, serve), repeats=3
+    )
     batched_seconds, batched_labels = _timed(
         lambda: model.predict_tables(serve), repeats=3
     )
@@ -95,15 +98,14 @@ def _throughput_comparison(config) -> dict:
     assert all(np.array_equal(a, b) for a, b in zip(decoded_loop, decoded_batch))
 
     # --- warm serving path: decode cost behind a feature-cached Predictor
-    predictor_loop = Predictor(model, model_backend="loop")
-    predictor_batched = Predictor(model, model_backend="batched")
-    predictor_loop.predict_tables(serve)  # warm the feature cache
-    predictor_batched.predict_tables(serve)
+    predictor = Predictor(model)
+    predictor.predict_tables(serve)  # warm the feature cache
     warm_loop_seconds, warm_loop = _timed(
-        lambda: predictor_loop.predict_tables(serve), repeats=3
+        lambda: per_table_decode(model, predictor._columnwise_proba(serve)),
+        repeats=3,
     )
     warm_batched_seconds, warm_batched = _timed(
-        lambda: predictor_batched.predict_tables(serve), repeats=3
+        lambda: predictor.predict_tables(serve), repeats=3
     )
     assert warm_loop == warm_batched == loop_labels
 
@@ -159,7 +161,7 @@ def test_model_inference_throughput(benchmark, config):
         return f"  {name:<22s}: {cell['seconds']:7.3f}s ({rate:>10,.0f} {unit})"
 
     lines = [
-        "Model-core inference throughput: loop vs batched "
+        "Model-core inference throughput: loop oracle vs batched "
         f"({result['variant']}, {result['n_tables']} tables / "
         f"{result['n_columns']} columns, {result['n_crf_chains']} CRF chains)",
         line("model loop", result["model_loop"], "tables_per_sec"),

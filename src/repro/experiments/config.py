@@ -44,11 +44,6 @@ class ExperimentConfig:
     # Featurizer
     word_dim: int = 24
     para_dim: int = 16
-    feature_backend: str = "vectorized"
-    feature_workers: int = 0
-
-    # Batch inference (structured decode backend; see docs/performance.md)
-    model_backend: str = "batched"
 
     # Bulk ingestion (streaming chunked annotate; see docs/ingest.md)
     ingest_chunk_rows: int = 4096

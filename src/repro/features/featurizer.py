@@ -20,9 +20,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.embeddings import ParagraphEmbedder, WordEmbeddingModel, tokenize_values
-from repro.features.char_features import CHAR_FEATURE_NAMES, char_features
-from repro.features.stats_features import STAT_FEATURE_NAMES, column_statistics
+from repro.embeddings import ParagraphEmbedder, WordEmbeddingModel
+from repro.features.char_features import CHAR_FEATURE_NAMES
+from repro.features.stats_features import STAT_FEATURE_NAMES
 from repro.tables import Column, Table
 
 __all__ = ["FeatureGroup", "FeatureMatrix", "ColumnFeaturizer"]
@@ -82,19 +82,11 @@ class ColumnFeaturizer:
         cost of very long columns bounded).
     standardize:
         Whether to z-score features using statistics from :meth:`fit`.
-    backend:
-        Featurization backend: ``"vectorized"`` (the default — batched NumPy
-        array ops via :class:`~repro.features.engine.VectorizedEngine`) or
-        ``"loop"`` (the per-value Python reference implementation, kept as
-        the parity oracle).
-    workers:
-        When > 1 and the backend is ``"vectorized"``, large batches are
-        partitioned into contiguous column shards featurized by a process
-        pool and reassembled in stable input order.  ``0``/``1`` featurize
-        in-process.
-    """
 
-    BACKENDS = ("loop", "vectorized")
+    Batches are featurized by the
+    :class:`~repro.features.engine.VectorizedEngine` (NumPy array ops over
+    every column at once).
+    """
 
     def __init__(
         self,
@@ -104,21 +96,13 @@ class ColumnFeaturizer:
         standardize: bool = True,
         min_token_count: int = 2,
         seed: int = 0,
-        backend: str = "vectorized",
-        workers: int = 0,
     ) -> None:
-        if backend not in self.BACKENDS:
-            raise ValueError(f"unknown feature backend {backend!r}")
-        if workers < 0:
-            raise ValueError("workers must be >= 0")
         self.word_dim = word_dim
         self.para_dim = para_dim
         self.max_tokens_per_column = max_tokens_per_column
         self.standardize = standardize
         self.min_token_count = min_token_count
         self.seed = seed
-        self.backend = backend
-        self.workers = workers
         self.word_model = WordEmbeddingModel(
             dim=word_dim, min_count=min_token_count, seed=seed
         )
@@ -303,54 +287,28 @@ class ColumnFeaturizer:
         return self._engine
 
     def _reset_engine(self) -> None:
-        if self._engine is not None:
-            self._engine.close()
-            self._engine = None
+        self._engine = None
 
     def close(self) -> None:
-        """Release engine resources (worker pool, memos).
+        """Release engine resources (memos).
 
         Safe to call at any time: the featurizer stays fully usable and
-        rebuilds its engine (and pool) lazily on the next transform.
+        rebuilds its engine lazily on the next transform.
         """
         self._reset_engine()
 
-    def runtime_clone(
-        self, backend: str | None = None, workers: int | None = None
-    ) -> "ColumnFeaturizer":
+    def runtime_clone(self) -> "ColumnFeaturizer":
         """A copy with independent runtime settings but shared fitted state.
 
         The clone aliases the (immutable once fitted) embedding substrate
-        and standardiser arrays, but owns its backend/workers settings and
-        its engine (memos, worker pool), so reconfiguring or closing it
-        never affects the original — every :class:`~repro.serving.Predictor`
-        serves through its own clone.
+        and standardiser arrays, but owns its sketch-store settings and its
+        engine (memos), so reconfiguring or closing it never affects the
+        original — every :class:`~repro.serving.Predictor` serves through
+        its own clone.
         """
         clone = copy.copy(self)
         clone._engine = None
-        if backend is not None or workers is not None:
-            clone.set_backend(backend or clone.backend, workers)
         return clone
-
-    def set_backend(
-        self, backend: str, workers: int | None = None
-    ) -> "ColumnFeaturizer":
-        """Switch the featurization backend (and optionally the worker count).
-
-        The backend is runtime behaviour, not fitted state: switching never
-        invalidates the embedding substrate or the standardiser, and the two
-        backends produce the same features to floating-point round-off.
-        """
-        if backend not in self.BACKENDS:
-            raise ValueError(f"unknown feature backend {backend!r}")
-        self.backend = backend
-        # Sketch sections are keyed by producer (= backend): re-resolve.
-        self._sketch_section = None
-        if workers is not None:
-            if workers < 0:
-                raise ValueError("workers must be >= 0")
-            self.workers = workers
-        return self
 
     def set_sketch_store(
         self, store, sample_rows: int | None = None
@@ -377,15 +335,6 @@ class ColumnFeaturizer:
         self._sketch_section = None
         return self
 
-    def _raw_features(self, column: Column) -> np.ndarray:
-        """The loop (oracle) backend: featurize one column in pure Python."""
-        tokens = tokenize_values(column.values)[: self.max_tokens_per_column]
-        char_vector = char_features(column.values)
-        word_vector = self.word_model.mean_vector(tokens)
-        para_vector = self.paragraph_embedder.embed(tokens)
-        stat_vector = column_statistics(column.values)
-        return np.concatenate([char_vector, word_vector, para_vector, stat_vector])
-
     # ------------------------------------------------------------ streaming
 
     def column_accumulator(self, max_tokens: int | None = None):
@@ -409,10 +358,11 @@ class ColumnFeaturizer:
     def _raw_from_accumulator(self, accumulator) -> np.ndarray:
         """Raw features from accumulated state.
 
-        Bit-identical to :meth:`_raw_features` on the same values: the
-        Char/Stat accumulators ARE the loop implementation, and the token
-        accumulator reassembles the exact capped prefix the loop path
-        tokenizes.
+        Bit-identical to featurizing the same values one at a time in pure
+        Python (``char_features`` / ``column_statistics`` plus the capped
+        token prefix): the Char/Stat accumulators ARE that per-value
+        implementation, and the token accumulator reassembles the exact
+        capped prefix it tokenizes.
         """
         tokens = accumulator.token_list()[: self.max_tokens_per_column]
         char_vector = accumulator.char.finalize()
@@ -447,8 +397,8 @@ class ColumnFeaturizer:
         """Finalize a batch of column accumulators into feature vectors.
 
         The streaming counterpart of :meth:`transform_columns`: same
-        standardisation, same output shape, bit-identical to the loop
-        full-scan path for any chunking/merge order of the inputs.
+        standardisation, same output shape, bit-identical to the per-value
+        full-scan featurization for any chunking/merge order of the inputs.
         """
         accumulators = list(accumulators)
         if not accumulators:
@@ -469,24 +419,18 @@ class ColumnFeaturizer:
                 )
         return self.finalize_columns(accumulators)
 
-    def _compute_raw(self, columns: Sequence[Column]) -> np.ndarray:
-        """Raw (unstandardized) features for a batch, via the active backend."""
-        if self.backend == "vectorized":
-            return self.engine.transform(columns)
-        return np.stack([self._raw_features(column) for column in columns])
-
     def _raw_matrix(self, columns: Sequence[Column]) -> np.ndarray:
         """Raw features for a batch, read through the sketch store when set.
 
         Hits are served from stored raw rows (bit-identical to the run
-        that stored them); misses are computed through the active backend
-        — from a bounded sample when ``sketch_sample_rows`` is set — and
-        written back.
+        that stored them); misses are computed by the engine — from a
+        bounded sample when ``sketch_sample_rows`` is set — and written
+        back.
         """
         store = self.sketch_store
         sample = self.sketch_sample_rows
         if store is None and sample is None:
-            return self._compute_raw(columns)
+            return self.engine.transform(columns)
         from repro.features import sketchstore
 
         keys: list[str] | None = None
@@ -494,9 +438,12 @@ class ColumnFeaturizer:
         if store is not None:
             section = self._sketch_section
             if section is None:
+                # "vectorized" names the engine that computes the rows; it
+                # is also the producer every store written so far was keyed
+                # by, so renaming it would turn existing stores all-miss.
                 section = store.section(
                     sketchstore.column_section_config(
-                        self, producer=self.backend, sample_rows=sample
+                        self, producer="vectorized", sample_rows=sample
                     )
                 )
                 self._sketch_section = section
@@ -520,7 +467,7 @@ class ColumnFeaturizer:
             todo = [columns[index] for index in missing]
             if sample is not None:
                 todo = [sketchstore.sampled_column(column, sample) for column in todo]
-            computed = self._compute_raw(todo)
+            computed = self.engine.transform(todo)
             for position, index in enumerate(missing):
                 row = computed[position]
                 rows[index] = row
@@ -546,10 +493,10 @@ class ColumnFeaturizer:
     def transform_columns(self, columns: Sequence[Column]) -> np.ndarray:
         """Featurize a batch of columns into an (m, n_features) matrix.
 
-        Raw features are computed for the whole batch at once (array ops
-        under the vectorized backend, a Python loop under the loop backend)
-        and standardised in one vectorised operation; this is the building
-        block of both the training path and the batched serving path.
+        Raw features are computed for the whole batch at once by the
+        vectorized engine and standardised in one vectorised operation;
+        this is the building block of both the training path and the
+        batched serving path.
         """
         if not columns:
             return np.zeros((0, self.n_features), dtype=np.float64)
@@ -562,7 +509,7 @@ class ColumnFeaturizer:
 
         All columns of all tables are featurized in a single batched
         :meth:`transform_columns` call, so the training path goes through
-        the same vectorized (and optionally sharded) code as serving.
+        the same vectorized code as serving.
         """
         columns: list[Column] = []
         labels: list[str | None] = []
@@ -594,11 +541,6 @@ class ColumnFeaturizer:
             "standardize": self.standardize,
             "min_token_count": self.min_token_count,
             "seed": self.seed,
-            "backend": self.backend,
-            # The worker count is deployment configuration, not model
-            # configuration: a bundle trained with --workers 8 must not
-            # silently spawn an 8-process pool on whatever box loads it.
-            "workers": 0,
         }
 
     def state_dict(self) -> dict[str, np.ndarray]:

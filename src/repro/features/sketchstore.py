@@ -18,10 +18,11 @@ Design points:
   they are not model input.
 * **Sections are config hashes.**  A sketch is only reusable under the
   featurizer configuration that produced it, so entries live in sections
-  keyed by a hash over the store format version, the producer (backend),
-  the char vocabulary, the token caps, the sampling dial and the fitted
-  substrate (:func:`state_hash` over the embedding arrays).  A config
-  mismatch is simply a different section — a miss, never a wrong hit.
+  keyed by a hash over the store format version, the producer (the code
+  path that computed the rows), the char vocabulary, the token caps, the
+  sampling dial and the fitted substrate (:func:`state_hash` over the
+  embedding arrays).  A config mismatch is simply a different section — a
+  miss, never a wrong hit.
 * **Append-friendly on-disk layout.**  Each section is one append-only
   log of CRC-framed JSON records under the store directory; a ``put`` is
   a single flushed append.  Re-puts append a newer record that shadows
@@ -223,8 +224,9 @@ def column_section_config(
     """Section config for fitted-featurizer column sketches.
 
     ``producer`` names the code path that computed the rows (the
-    ``"accumulator"`` streaming path, or a transform backend name), so
-    paths with different bit-level guarantees never share entries.
+    ``"accumulator"`` streaming path, or ``"vectorized"`` for the transform
+    engine), so paths with different bit-level guarantees never share
+    entries.
     """
     if token_cap is None:
         token_cap = featurizer.max_tokens_per_column

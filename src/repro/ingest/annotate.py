@@ -6,9 +6,9 @@ sources in bounded memory: each column folds into one
 :class:`~repro.features.ColumnAccumulator` as chunks arrive, and only the
 *finalized* per-column features (plus the capped table-document token
 prefix for the topic model) ever exist at once.  The resulting
-predictions are bit-identical to loading the whole table in memory and
-predicting through the loop-backend reference path — enforced by the
-streaming parity tests.
+predictions are bit-identical to loading the whole table in memory,
+featurizing it one value at a time and decoding it per table — enforced
+by the streaming parity tests against the test-side oracles.
 
 With a :class:`~repro.features.sketchstore.SketchStore` attached, the
 annotator becomes *incremental*: every column is fingerprinted as its

@@ -86,8 +86,8 @@ def hard_case_tables():
     """Adversarial tables from the shipped hard-case suites (tiny preset).
 
     Unicode-heavy values (non-BMP, combining marks, RTL) plus dirty and
-    mixed-type columns — the inputs where a vectorized or batched backend
-    is most likely to drift from its reference loop.
+    mixed-type columns — the inputs where a vectorized or batched path is
+    most likely to drift from its reference loop (``tests/oracles.py``).
     """
     from repro.corpus.suites import build_suite
 

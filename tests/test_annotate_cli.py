@@ -3,7 +3,7 @@
 The CLI is exercised in-process through :func:`repro.cli.main` over a
 fixture directory of mixed-format sources.  The output contract under
 test: deterministic JSONL (byte-identical across runs and chunk sizes),
-predictions bit-identical to the in-memory loop-backend oracle, partial
+predictions bit-identical to the in-memory loop oracle, partial
 output plus a non-zero exit when one source is corrupt, and usage errors
 exiting 2 before any work happens.
 """
@@ -20,6 +20,8 @@ from repro.ingest import open_source, registered_adapters
 from repro.registry import ModelRegistry
 from repro.serving import save_model
 from repro.types import TYPE_TO_INDEX
+
+from oracles import loop_columnwise_proba
 
 
 @pytest.fixture(scope="module")
@@ -130,18 +132,14 @@ class TestBundleMode:
         tables = [
             stream.materialize() for stream in open_source(fixture_dir, 4096)
         ]
-        trained_sato.set_feature_backend("loop")
-        try:
-            for record, table in zip(records, tables, strict=True):
-                proba = trained_sato.column_model.predict_proba_table(table)
-                labels = trained_sato.labels_from_proba(proba)
-                marginals = trained_sato.marginals_from_proba(proba)
-                assert [c["predicted_type"] for c in record["columns"]] == labels
-                for column, label in zip(record["columns"], labels):
-                    expected = float(marginals[column["index"], TYPE_TO_INDEX[label]])
-                    assert column["confidence"] == round(expected, 6)
-        finally:
-            trained_sato.set_feature_backend("vectorized")
+        for record, table in zip(records, tables, strict=True):
+            proba = loop_columnwise_proba(trained_sato, table)
+            labels = trained_sato.labels_from_proba(proba)
+            marginals = trained_sato.marginals_from_proba(proba)
+            assert [c["predicted_type"] for c in record["columns"]] == labels
+            for column, label in zip(record["columns"], labels):
+                expected = float(marginals[column["index"], TYPE_TO_INDEX[label]])
+                assert column["confidence"] == round(expected, 6)
 
     def test_stdout_output(self, fixture_dir, sato_bundle, capsys):
         code, out, _ = run_annotate(

@@ -34,9 +34,6 @@ class TestParser:
         assert args.max_wait_ms == 5.0
         assert args.max_queue == 256
         assert args.cache_size == 4096
-        assert args.feature_backend == "vectorized"
-        assert args.workers == 0
-        assert args.model_backend == "batched"
         assert args.log_format == "text"
 
     def test_serve_log_format_choices(self):
@@ -59,17 +56,31 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["profile"])  # --model is required
 
-    def test_model_backend_choices(self):
-        args = build_parser().parse_args(
-            ["predict", "--model", "bundle/", "--csv", "t.csv",
-             "--model-backend", "loop"]
-        )
-        assert args.model_backend == "loop"
+    @pytest.mark.parametrize(
+        "base",
+        [
+            ["train", "--corpus", "c.jsonl", "--out", "model/"],
+            ["predict", "--model", "bundle/", "--csv", "t.csv"],
+            ["serve", "--model", "bundle/"],
+            ["profile", "--model", "bundle/"],
+        ],
+        ids=lambda base: base[0],
+    )
+    def test_no_backend_selection_flags(self, base, capsys):
+        """One runtime path per layer: no flag selects another."""
+        build_parser().parse_args(base)
+        for flag in (
+            ["--feature-backend", "loop"],
+            ["--model-backend", "loop"],
+            ["--workers", "2"],
+        ):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(base + flag)
         with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["predict", "--model", "bundle/", "--csv", "t.csv",
-                 "--model-backend", "turbo"]
-            )
+            build_parser().parse_args([base[0], "--help"])
+        usage = capsys.readouterr().out
+        for flag in ("--feature-backend", "--model-backend", "--workers"):
+            assert flag not in usage
 
     def test_serve_requires_model(self):
         with pytest.raises(SystemExit):

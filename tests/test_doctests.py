@@ -19,6 +19,7 @@ import repro.features.sketchstore
 import repro.features.stats_features
 import repro.ingest.base
 import repro.models.batched
+import repro.models.sato
 import repro.obs.logs
 import repro.obs.profile
 import repro.obs.prom
@@ -47,6 +48,7 @@ DOCUMENTED_MODULES = [
     repro.features.stats_features,
     repro.ingest.base,
     repro.models.batched,
+    repro.models.sato,
     repro.obs.logs,
     repro.obs.profile,
     repro.obs.prom,
@@ -67,7 +69,7 @@ DOCUMENTED_MODULES = [
 PUBLIC_EXAMPLE_PACKAGES = {
     char_features_module: ["CharAccumulator"],
     repro.features.stats_features: ["StatAccumulator"],
-    repro.models.batched: ["pad_unaries", "split_by_table", "BatchedInferenceCore"],
+    repro.models.batched: ["pad_unaries", "split_by_table"],
     repro.obs.logs: ["RequestLogger"],
     repro.obs.profile: ["profile_predictor", "render_flame"],
     repro.obs.prom: ["render_prometheus"],

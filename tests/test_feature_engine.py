@@ -1,21 +1,20 @@
 """Tests for the vectorized featurization engine.
 
-The loop backend is the oracle: every batched code path must agree with it
-``allclose`` (rtol 1e-6), worker sharding must be bit-identical to the
-in-process engine, and bundles written before the backend existed must keep
-loading.
+The per-value loop (``tests/oracles.py``) is the oracle: every batched code
+path must agree with it ``allclose`` (rtol 1e-6), and bundles written
+before or while the featurizer had selectable backends must keep loading.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
 
 from repro.corpus import CorpusConfig, CorpusGenerator
 from repro.features import (
-    ColumnFeaturizer,
     char_features,
     char_features_batch,
     column_statistics,
@@ -26,6 +25,7 @@ import repro.serving.predictor as predictor_module
 from repro.tables import Column, Table
 
 from helpers import tiny_featurizer
+from oracles import loop_predict_proba_table, loop_predict_table, loop_transform_columns
 
 RTOL, ATOL = 1e-6, 1e-9
 
@@ -65,7 +65,7 @@ class TestBatchOracles:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_random_tables_property_parity(self, seed):
-        """Property-style: random corpora agree between the two backends."""
+        """Property-style: random corpora agree between batch and oracle."""
         tables = CorpusGenerator(
             CorpusConfig(n_tables=25, seed=seed, max_rows=9)
         ).generate()
@@ -82,13 +82,14 @@ class TestBatchOracles:
 
 
 class TestFeaturizerBackends:
+    """The vectorized engine against the per-value loop oracle."""
+
     @pytest.fixture(scope="class")
     def backends(self, multi_column_tables):
-        featurizer = tiny_featurizer().set_backend("loop")
+        featurizer = tiny_featurizer()
         featurizer.fit(multi_column_tables)
         columns = [c for t in multi_column_tables for c in t.columns]
-        loop = featurizer.transform_columns(columns)
-        featurizer.set_backend("vectorized")
+        loop = loop_transform_columns(featurizer, columns)
         vectorized = featurizer.transform_columns(columns)
         return featurizer, columns, loop, vectorized
 
@@ -102,25 +103,6 @@ class TestFeaturizerBackends:
         assert matrix.matrix.shape == (len(columns), featurizer.n_features)
         np.testing.assert_array_equal(matrix.matrix, vectorized)
 
-    def test_workers_bit_identical_and_stable_order(self, backends):
-        featurizer, columns, _, vectorized = backends
-        try:
-            featurizer.set_backend("vectorized", workers=1)
-            one = featurizer.transform_columns(columns)
-            featurizer.set_backend("vectorized", workers=4)
-            four = featurizer.transform_columns(columns)
-        finally:
-            featurizer.set_backend("vectorized", workers=0)
-            featurizer.close()
-        np.testing.assert_array_equal(one, four)
-        np.testing.assert_array_equal(vectorized, four)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            ColumnFeaturizer(backend="gpu")
-        with pytest.raises(ValueError):
-            tiny_featurizer().set_backend("gpu")
-
     def test_engine_reset_on_refit(self, multi_column_tables):
         featurizer = tiny_featurizer()
         featurizer.fit(multi_column_tables[:10])
@@ -133,38 +115,21 @@ class TestFeaturizerBackends:
     ):
         """Regression: a batch ending in token-less columns must not drop
         the last token of the preceding column from its Word/Para sums."""
-        featurizer = tiny_featurizer().set_backend("loop")
+        featurizer = tiny_featurizer()
         featurizer.fit(multi_column_tables)
         batch = [
             Column(values=["12", "345", "6789", "12345"]),
             Column(values=[" "]),       # whitespace only: zero tokens
             Column(values=["...", ""]),  # punctuation only: zero tokens
         ]
-        loop = featurizer.transform_columns(batch)
-        featurizer.set_backend("vectorized")
+        loop = loop_transform_columns(featurizer, batch)
         np.testing.assert_allclose(
             featurizer.transform_columns(batch), loop, rtol=RTOL, atol=ATOL
         )
 
-    def test_fit_with_workers_enabled(self, multi_column_tables):
-        """Regression: training with sharding configured must not crash on
-        the standardiser pass (the pool serialises a half-fitted featurizer)."""
-        tables = multi_column_tables[:12]
-        sharded = ColumnFeaturizer(word_dim=8, para_dim=4, workers=2)
-        try:
-            sharded.fit(tables)
-        finally:
-            sharded.close()
-        inline = ColumnFeaturizer(word_dim=8, para_dim=4).fit(tables)
-        columns = [c for t in tables for c in t.columns]
-        np.testing.assert_array_equal(
-            sharded.transform_columns(columns), inline.transform_columns(columns)
-        )
-        sharded.close()
-
 
 class TestHardCaseSuiteParity:
-    """Backend parity on the shipped adversarial suites.
+    """Engine/oracle parity on the shipped adversarial suites.
 
     The hard-case suites concentrate exactly the inputs where a vectorized
     engine can drift from the reference loop — non-BMP codepoints, NFD
@@ -173,11 +138,10 @@ class TestHardCaseSuiteParity:
     """
 
     def test_vectorized_matches_loop_on_hard_cases(self, hard_case_tables):
-        featurizer = tiny_featurizer().set_backend("loop")
+        featurizer = tiny_featurizer()
         featurizer.fit(hard_case_tables)
         columns = [c for t in hard_case_tables for c in t.columns]
-        loop = featurizer.transform_columns(columns)
-        featurizer.set_backend("vectorized")
+        loop = loop_transform_columns(featurizer, columns)
         vectorized = featurizer.transform_columns(columns)
         np.testing.assert_allclose(vectorized, loop, rtol=RTOL, atol=ATOL)
 
@@ -195,16 +159,13 @@ class TestHardCaseSuiteParity:
 
 
 class TestVariantParity:
-    """The vectorized backend serves all four variants like the loop does."""
+    """The vectorized engine serves all four variants like the loop oracle."""
 
     def test_all_variants_predict_identically(self, fitted_variant, serving_split):
         _, test = serving_split
         predictor = Predictor(fitted_variant)
-        featurizer = fitted_variant.column_model.featurizer
-        featurizer.set_backend("loop")
-        loop_proba = [fitted_variant.predict_proba_table(t) for t in test]
-        loop_labels = [fitted_variant.predict_table(t) for t in test]
-        featurizer.set_backend("vectorized")
+        loop_proba = [loop_predict_proba_table(fitted_variant, t) for t in test]
+        loop_labels = [loop_predict_table(fitted_variant, t) for t in test]
         for table, proba, labels in zip(test, loop_proba, loop_labels):
             np.testing.assert_allclose(
                 fitted_variant.predict_proba_table(table), proba, rtol=1e-6, atol=1e-9
@@ -212,43 +173,71 @@ class TestVariantParity:
             assert predictor.predict_table(table) == labels
 
 
+#: Featurizer keys of every manifest layout written so far: format version 1
+#: had no backend keys; every later bundle recorded ``backend`` and
+#: ``workers`` (a loop-backend, 3-worker training run included).
+LEGACY_FEATURIZER_KEYS = [
+    {},
+    {"backend": "vectorized", "workers": 0},
+    {"backend": "loop", "workers": 3},
+]
+
+
 class TestBundleCompatibility:
     def test_pre_backend_bundle_still_loads(self, trained_base, tmp_path, corpus_small):
-        """A bundle written before backend/workers existed keeps loading."""
-        bundle = save_model(trained_base, tmp_path / "bundle")
-        manifest_path = bundle / MANIFEST_NAME
-        manifest = json.loads(manifest_path.read_text())
-        featurizer_config = manifest["model"]["column_model"]["featurizer"]
-        # Simulate the format-version-1 manifest of PR 1: no backend keys.
-        featurizer_config.pop("backend")
-        featurizer_config.pop("workers")
-        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+        """Bundles from before, and from while, backend/workers existed load.
 
-        predictor = Predictor.from_bundle(bundle)
-        assert predictor.featurizer.backend in ColumnFeaturizer.BACKENDS
-        table = corpus_small[0]
-        assert predictor.predict_table(table) == trained_base.predict_table(table)
+        Both keys are ignored: each bundle serves through the vectorized
+        engine, spawns no pool and predicts what the saved model predicts.
+        """
+        tables = corpus_small[:8]
+        expected = [trained_base.predict_table(table) for table in tables]
+        for index, legacy_keys in enumerate(LEGACY_FEATURIZER_KEYS):
+            bundle = save_model(trained_base, tmp_path / f"bundle-{index}")
+            manifest_path = bundle / MANIFEST_NAME
+            manifest = json.loads(manifest_path.read_text())
+            featurizer_config = manifest["model"]["column_model"]["featurizer"]
+            assert "backend" not in featurizer_config
+            assert "workers" not in featurizer_config
+            featurizer_config.update(legacy_keys)
+            manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+
+            children_before = len(multiprocessing.active_children())
+            predictor = Predictor.from_bundle(bundle)
+            assert predictor.predict_tables(tables) == expected, legacy_keys
+            assert len(multiprocessing.active_children()) == children_before
+            assert not hasattr(predictor.featurizer, "workers")
+            predictor.close()
 
 
 class TestRuntimeIsolation:
     def test_bundle_never_persists_a_worker_count(self, trained_base, tmp_path):
-        trained_base.column_model.featurizer.set_backend("vectorized", workers=8)
-        try:
-            bundle = save_model(trained_base, tmp_path / "bundle")
-        finally:
-            trained_base.column_model.featurizer.set_backend("vectorized", workers=0)
+        """Only model configuration reaches the manifest, no runtime knobs."""
+        bundle = save_model(trained_base, tmp_path / "bundle")
         manifest = json.loads((bundle / MANIFEST_NAME).read_text())
-        assert manifest["model"]["column_model"]["featurizer"]["workers"] == 0
+        featurizer_config = manifest["model"]["column_model"]["featurizer"]
+        assert featurizer_config == trained_base.column_model.featurizer.config_dict()
+        assert "workers" not in featurizer_config
+        assert "backend" not in featurizer_config
 
-    def test_predictors_do_not_share_runtime_settings(self, trained_base):
-        sharded = Predictor(trained_base, workers=4)
-        looped = Predictor(trained_base, feature_backend="loop")
-        assert sharded.featurizer.workers == 4
-        assert sharded.featurizer.backend == "vectorized"
-        assert looped.featurizer.backend == "loop"
-        assert trained_base.column_model.featurizer.workers == 0
-        looped.close()  # must not touch the other predictor's settings
-        assert sharded.featurizer.workers == 4
+    def test_predictors_do_not_share_runtime_settings(
+        self, trained_base, corpus_small, tmp_path
+    ):
+        """Each predictor serves through its own featurizer clone."""
+        stored = Predictor(trained_base, sketch_store=tmp_path / "store")
+        plain = Predictor(trained_base)
+        original = trained_base.column_model.featurizer
+        assert stored.featurizer is not plain.featurizer
+        assert stored.featurizer is not original
+        assert stored.featurizer.sketch_store is not None
+        assert plain.featurizer.sketch_store is None
+        assert original.sketch_store is None
+        table = corpus_small[0]
+        expected = plain.predict_table(table)
+        engine = plain.featurizer.engine
+        stored.close()  # must not touch the other predictor's engine
+        assert plain.featurizer.engine is engine
+        assert plain.predict_table(table) == expected
 
     def test_failed_standardizer_pass_leaves_featurizer_unfitted(
         self, multi_column_tables, monkeypatch

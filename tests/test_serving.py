@@ -203,7 +203,7 @@ class TestPredictor:
         fresh = predictor.predict_info()
         assert fresh["batches"] == 0 and fresh["tables"] == 0
         assert fresh["columns"] == 0 and fresh["predict_seconds"] == 0.0
-        assert fresh["model_backend"] == "batched"
+        assert "model_backend" not in fresh
         assert fresh["swap_count"] == 0
         assert fresh["model_version"] == fresh["model_fingerprint"][:12]
         predictor.predict_tables(test)

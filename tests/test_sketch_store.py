@@ -599,6 +599,29 @@ class TestPredictorParity:
         assert predictor.cache_info()["sketch_store"]["hits"] > 0
         predictor.close()
 
+    def test_serving_column_section_keeps_the_vectorized_producer(
+        self, trained_base, serving_split, store
+    ):
+        """Serving stores written by earlier releases stay warm.
+
+        Every serving column sketch written so far lives in the section
+        whose producer is ``"vectorized"``; resolving any other section
+        would silently turn those stores all-miss.
+        """
+        _, tables = serving_split
+        predictor = Predictor(trained_base, sketch_store=store)
+        predictor.predict_tables(tables)
+        expected = store.section(
+            sketchstore.column_section_config(
+                predictor.featurizer, producer="vectorized"
+            )
+        )
+        assert predictor.featurizer._sketch_section == expected
+        distinct = {values_fingerprint(c.values) for t in tables for c in t.columns}
+        assert store.stats()["sections"][expected] == len(distinct)
+        predictor.close()
+        store.close()
+
 
 # ------------------------------------------------------------------ the CLI
 
