@@ -42,8 +42,8 @@ import pytest
 from conftest import emit, emit_json, run_once
 
 from repro.experiments.pipeline import build_corpus, make_model_factories
+from repro.obs import percentile
 from repro.serving import ServingFleet, save_model
-from repro.serving.scheduler import _percentile
 
 #: The tentpole acceptance bar: 4 workers must serve at least this many
 #: times the single-worker columns/sec on identical closed-loop load.
@@ -119,9 +119,9 @@ def _closed_loop(bundle_path: Path, tables, n_workers: int, config) -> dict:
         "columns_per_sec": columns / max(elapsed, 1e-9),
         "requests_per_sec": n_requests / max(elapsed, 1e-9),
         "latency_ms": {
-            "p50": _percentile(ordered, 0.50) * 1e3,
-            "p95": _percentile(ordered, 0.95) * 1e3,
-            "p99": _percentile(ordered, 0.99) * 1e3,
+            "p50": percentile(ordered, 0.50) * 1e3,
+            "p95": percentile(ordered, 0.95) * 1e3,
+            "p99": percentile(ordered, 0.99) * 1e3,
             "max": ordered[-1] * 1e3,
         },
         "routing": stats["routing"],

@@ -24,6 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 from conftest import emit, emit_json, run_once
 
 from repro.experiments.pipeline import build_corpus, make_model_factories
+from repro.obs import percentile
 from repro.registry import ModelRegistry
 from repro.serving import Predictor, serve_in_thread
 
@@ -31,15 +32,6 @@ from repro.serving import Predictor, serve_in_thread
 #: measures socket and scheduler noise, not the serving path, and a 2x
 #: ratio would be meaningless jitter arithmetic.
 STEADY_FLOOR_SECONDS = 0.020
-
-
-def _percentile(sorted_values: list[float], fraction: float) -> float:
-    if not sorted_values:
-        return 0.0
-    rank = min(
-        len(sorted_values) - 1, max(0, round(fraction * (len(sorted_values) - 1)))
-    )
-    return sorted_values[rank]
 
 
 def _measure_phase(
@@ -122,18 +114,18 @@ def _hot_swap_comparison(config, registry_root) -> dict:
                 stop = True
             n_swaps = swap_future.result(timeout=30)
 
-    steady_p99 = _percentile(steady, 0.99)
-    swap_p99 = _percentile(swapping, 0.99)
+    steady_p99 = percentile(steady, 0.99)
+    swap_p99 = percentile(swapping, 0.99)
     budget = 2.0 * max(steady_p99, STEADY_FLOOR_SECONDS)
     return {
         "n_requests_per_phase": n_clients * per_client,
         "n_swaps_during_storm": n_swaps,
         "steady": {
-            "p50_ms": _percentile(steady, 0.50) * 1e3,
+            "p50_ms": percentile(steady, 0.50) * 1e3,
             "p99_ms": steady_p99 * 1e3,
         },
         "swap": {
-            "p50_ms": _percentile(swapping, 0.50) * 1e3,
+            "p50_ms": percentile(swapping, 0.50) * 1e3,
             "p99_ms": swap_p99 * 1e3,
         },
         "p99_budget_ms": budget * 1e3,

@@ -47,7 +47,7 @@ class TablesJsonlAdapter(SourceAdapter):
                     continue
                 try:
                     payload = json.loads(line)
-                except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                except (ValueError, RecursionError) as exc:  # bad or too-deep JSON
                     raise IngestError(
                         f"malformed JSONL on line {line_number}: {exc}", source=path
                     ) from exc

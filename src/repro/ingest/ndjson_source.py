@@ -62,7 +62,7 @@ class NdjsonAdapter(SourceAdapter):
                     continue
                 try:
                     record = json.loads(line)
-                except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                except (ValueError, RecursionError) as exc:  # bad or too-deep JSON
                     raise IngestError(
                         f"malformed NDJSON on line {line_number}: {exc}", source=path
                     ) from exc

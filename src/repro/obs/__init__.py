@@ -1,10 +1,13 @@
 """Observability for the serving stack: tracing, telemetry, profiling.
 
-Dependency-free (stdlib only).  Four pieces:
+Dependency-free (stdlib only).  Five pieces:
 
+* :mod:`repro.obs.window` — :class:`LatencyWindow`, the one bounded
+  window (and nearest-rank :func:`percentile`) behind every ``/metrics``
+  percentile: latency, queue wait, stages and the fleet merge.
 * :mod:`repro.obs.trace` — thread/process-safe :class:`Tracer` with
   nesting ``span()`` context managers, cross-process span shipping for the
-  fleet, and always-on bounded-window per-stage aggregates.
+  fleet, and always-on per-stage aggregates.
 * :mod:`repro.obs.prom` — Prometheus text exposition of the metrics
   snapshot (``GET /metrics.prom``).
 * :mod:`repro.obs.logs` — structured JSON request logs
@@ -30,9 +33,11 @@ from repro.obs.trace import (
     set_enabled,
     span,
 )
+from repro.obs.window import LatencyWindow, percentile
 
 __all__ = [
     "COVERAGE_STAGES",
+    "LatencyWindow",
     "RequestLogger",
     "Span",
     "SpanContext",
@@ -42,6 +47,7 @@ __all__ = [
     "new_span_id",
     "new_trace_id",
     "observe",
+    "percentile",
     "profile_predictor",
     "render_flame",
     "render_prometheus",

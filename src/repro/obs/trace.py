@@ -12,10 +12,10 @@ only and built for an always-on deployment:
   a :mod:`contextvars` variable, so the parent/child structure follows the
   code — across ``await`` points on the event loop and, via
   :meth:`Tracer.attach`, across thread and process hops.
-* Every finished span feeds :class:`StageAggregates`: bounded-window
-  per-stage latency percentiles plus cumulative totals, cheap enough to
-  leave on in production (the overhead contract is enforced by
-  ``benchmarks/test_obs_overhead.py``).
+* Every finished span feeds :class:`StageAggregates`: per-stage
+  percentiles over one :class:`~repro.obs.window.LatencyWindow` each plus
+  cumulative totals, cheap enough to leave on in production (the overhead
+  contract is enforced by ``benchmarks/test_obs_overhead.py``).
 * A bounded ring buffer keeps recently finished spans so tests, the
   profiling CLI and the fleet front-end can reassemble whole traces by
   trace ID.  Worker processes ship their spans back over the request pipe
@@ -38,6 +38,8 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
+
+from repro.obs.window import LatencyWindow
 
 __all__ = [
     "Span",
@@ -134,25 +136,6 @@ class Span:
         }
 
 
-def _percentile(sorted_values: list[float], fraction: float) -> float:
-    """Nearest-rank percentile of an ascending list (0.0 for an empty one)."""
-    if not sorted_values:
-        return 0.0
-    rank = round(fraction * (len(sorted_values) - 1))
-    return sorted_values[min(len(sorted_values) - 1, max(0, rank))]
-
-
-class _StageWindow:
-    """Cumulative + bounded-window accounting for one stage name."""
-
-    __slots__ = ("count", "total_seconds", "window")
-
-    def __init__(self, window: int) -> None:
-        self.count = 0
-        self.total_seconds = 0.0
-        self.window: deque[float] = deque(maxlen=window)
-
-
 class StageAggregates:
     """Bounded-window per-stage latency aggregates (the ``stages`` metric).
 
@@ -179,22 +162,28 @@ class StageAggregates:
     def __init__(self, window: int = 512) -> None:
         self.window = window
         self._lock = threading.Lock()
-        self._stages: dict[str, _StageWindow] = {}
+        self._counts: dict[str, int] = {}
+        self._totals: dict[str, float] = {}
+        self._windows: dict[str, LatencyWindow] = {}
 
     def observe(self, name: str, seconds: float) -> None:
         """Record one duration for a stage."""
         with self._lock:
-            stage = self._stages.get(name)
-            if stage is None:
-                stage = self._stages[name] = _StageWindow(self.window)
-            stage.count += 1
-            stage.total_seconds += seconds
-            stage.window.append(seconds)
+            window = self._windows.get(name)
+            if window is None:
+                window = self._windows[name] = LatencyWindow(self.window)
+                self._counts[name] = 0
+                self._totals[name] = 0.0
+            self._counts[name] += 1
+            self._totals[name] += seconds
+            window.add(seconds)
 
     def reset(self) -> None:
         """Drop every stage (tests and profiling runs start clean)."""
         with self._lock:
-            self._stages.clear()
+            self._counts.clear()
+            self._totals.clear()
+            self._windows.clear()
 
     def snapshot(self) -> dict:
         """Per-stage aggregates, JSON-friendly, sorted by cumulative time.
@@ -207,25 +196,21 @@ class StageAggregates:
         the largest stage total instead.
         """
         with self._lock:
-            totals = {name: stage.total_seconds for name, stage in self._stages.items()}
+            totals = dict(self._totals)
             root_total = totals.get(self.ROOT_STAGE, 0.0)
             if root_total <= 0.0:
                 root_total = max(totals.values(), default=0.0)
             out: dict[str, dict] = {}
-            order = sorted(self._stages, key=lambda name: totals[name], reverse=True)
-            for name in order:
-                stage = self._stages[name]
-                window = sorted(stage.window)
+            for name in sorted(totals, key=totals.__getitem__, reverse=True):
+                summary = self._windows[name].summary()
                 out[name] = {
-                    "count": stage.count,
-                    "total_seconds": stage.total_seconds,
-                    "share": (
-                        stage.total_seconds / root_total if root_total else 0.0
-                    ),
-                    "p50_ms": _percentile(window, 0.50) * 1e3,
-                    "p95_ms": _percentile(window, 0.95) * 1e3,
-                    "p99_ms": _percentile(window, 0.99) * 1e3,
-                    "window": len(window),
+                    "count": self._counts[name],
+                    "total_seconds": totals[name],
+                    "share": totals[name] / root_total if root_total else 0.0,
+                    "p50_ms": summary["p50"],
+                    "p95_ms": summary["p95"],
+                    "p99_ms": summary["p99"],
+                    "window": summary["window"],
                 }
             return out
 
@@ -247,8 +232,6 @@ class Tracer:
 
     Parameters
     ----------
-    window:
-        Bounded window per stage for percentile aggregates.
     max_spans:
         Ring-buffer capacity for finished spans (trace reassembly).
     enabled:
@@ -270,11 +253,9 @@ class Tracer:
         ['forward', 'request']
     """
 
-    def __init__(
-        self, window: int = 512, max_spans: int = 4096, enabled: bool = True
-    ) -> None:
+    def __init__(self, max_spans: int = 4096, enabled: bool = True) -> None:
         self.enabled = enabled
-        self.stages = StageAggregates(window=window)
+        self.stages = StageAggregates()
         self._spans: deque[Span] = deque(maxlen=max_spans)
         self._lock = threading.Lock()
 

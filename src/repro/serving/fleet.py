@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from repro.obs import get_tracer
+from repro.obs import LatencyWindow, get_tracer
 from repro.serving.predictor import Predictor, column_fingerprint
 from repro.serving.scheduler import (
     DEFAULT_MAX_BATCH_SIZE,
@@ -64,7 +64,7 @@ from repro.serving.scheduler import (
     DrainingError,
     QueueFullError,
     ServingMetrics,
-    _percentile,
+    run_batch,
 )
 from repro.serving.shm import (
     default_store_dir,
@@ -193,12 +193,12 @@ class WorkerSpec:
     cache_size: int
     max_batch_size: int
     max_wait_ms: float
-    metrics_window: int
 
 
-def _frame_context(message: tuple):
-    """Trace context of a predict frame (None for frames that carry none)."""
-    return message[3] if len(message) > 3 else None
+def _batch_entry(message: tuple) -> tuple:
+    """``(rid, table, received_at, trace context or None)`` of a predict frame."""
+    context = message[3] if len(message) > 3 else None
+    return (message[1], message[2], time.monotonic(), context)
 
 
 class _WorkerRuntime:
@@ -214,7 +214,7 @@ class _WorkerRuntime:
             model_name=spec.model_name,
             model_version=spec.model_version,
         )
-        self.metrics = ServingMetrics(window=spec.metrics_window)
+        self.metrics = ServingMetrics()
         self.max_wait = spec.max_wait_ms / 1e3
         # Models staged by ``prepare`` and not yet committed/discarded:
         # token -> (model, shared store, version tag).
@@ -243,9 +243,8 @@ class _WorkerRuntime:
             if message[0] != "predict":
                 running = self._handle_control(message)
                 continue
-            received = time.monotonic()
-            batch = [(message[1], message[2], received, _frame_context(message))]
-            deadline = received + self.max_wait
+            batch = [_batch_entry(message)]
+            deadline = batch[0][2] + self.max_wait
             while len(batch) < self.spec.max_batch_size:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0 or not self.conn.poll(remaining):
@@ -258,57 +257,27 @@ class _WorkerRuntime:
                 if companion[0] != "predict":
                     trailing = companion
                     break
-                batch.append(
-                    (
-                        companion[1],
-                        companion[2],
-                        time.monotonic(),
-                        _frame_context(companion),
-                    )
-                )
+                batch.append(_batch_entry(companion))
             self._dispatch(batch)
 
     def _dispatch(self, batch: list[tuple]) -> None:
         for _ in batch:
             self.metrics.record_admitted()
-        tables = [table for _rid, table, _at, _ctx in batch]
-        tracer = get_tracer()
-        started = time.monotonic()
-        waits = [started - received for _rid, _table, received, _ctx in batch]
-        for wait in waits:
-            self.metrics.record_queue_wait(wait)
-            tracer.observe("queue.wait", wait)
-        # The first traced request anchors the batch: the worker's spans
-        # (worker.batch and everything the predictor opens inside it) are
-        # recorded under that request's propagated context and shipped back
-        # with its reply, so the front end can reassemble one whole trace.
-        anchor = next(
-            (ctx for _rid, _table, _at, ctx in batch if ctx is not None), None
-        )
-        token = tracer.attach(anchor)
+        rids, tables, received, contexts = zip(*batch)
         try:
-            with tracer.span("worker.batch", batch_size=len(tables)):
-                results = self.predictor.predict_tables(tables)
-                version = self.predictor.last_batch_version
+            results, version, waits, anchor = run_batch(
+                self.predictor, tables, received, contexts, self.metrics, "worker.batch"
+            )
         except Exception as error:
             reason = f"{type(error).__name__}: {error}"
-            for rid, _table, _at, _ctx in batch:
-                self.metrics.record_error()
+            for rid in rids:
                 self._send(("err", rid, reason))
             return
-        finally:
-            tracer.detach(token)
-        seconds = time.monotonic() - started
-        self.metrics.record_batch(
-            n_tables=len(tables),
-            n_columns=sum(table.n_columns for table in tables),
-            seconds=seconds,
-        )
-        spans = tracer.take(anchor[0]) if anchor is not None else []
-        finished = time.monotonic()
-        for (rid, _table, received, ctx), labels, wait in zip(batch, results, waits):
-            self.metrics.record_request(finished - received)
-            info: dict = {"batch_size": len(tables), "queue_wait": wait}
+        # The anchor's spans (worker.batch and everything the predictor
+        # opens inside it) ship back with its reply: one whole trace.
+        spans = get_tracer().take(anchor[0]) if anchor is not None else []
+        for rid, ctx, labels, wait in zip(rids, contexts, results, waits):
+            info: dict = {"batch_size": len(batch), "queue_wait": wait}
             if spans and ctx is not None:
                 info["spans"], spans = spans, []
             self._send(("ok", rid, (labels, version, info)))
@@ -326,8 +295,8 @@ class _WorkerRuntime:
                         {
                             "pid": os.getpid(),
                             "metrics": self.metrics.snapshot(),
-                            "latencies": self.metrics.latencies(),
-                            "queue_waits": self.metrics.queue_waits(),
+                            "latencies": self.metrics.latency.values(),
+                            "queue_waits": self.metrics.queue_wait.values(),
                             "stages": get_tracer().stages.snapshot(),
                             "cache": self.predictor.cache_info(),
                             "predictor": self.predictor.predict_info(),
@@ -461,10 +430,6 @@ class ServingFleet:
         worker on the ring.  Defaults to ``max(1, max_queue // n_workers)``.
     ring_replicas:
         Virtual nodes per worker on the routing ring.
-    metrics:
-        Optional shared :class:`~repro.serving.scheduler.ServingMetrics`;
-        the fleet records front-end admission/latency into it (worker-side
-        batch metrics are aggregated separately by :meth:`fleet_metrics`).
     store_dir:
         Parent directory for the shared tensor store (default: ``/dev/shm``
         when available).  The fleet creates a private subdirectory and
@@ -487,7 +452,6 @@ class ServingFleet:
         max_queue: int = DEFAULT_MAX_QUEUE,
         worker_queue: int | None = None,
         ring_replicas: int = DEFAULT_RING_REPLICAS,
-        metrics: ServingMetrics | None = None,
         store_dir: str | Path | None = None,
         mp_context: str = "spawn",
     ) -> None:
@@ -505,7 +469,8 @@ class ServingFleet:
         self.max_wait_ms = max_wait_ms
         self.max_queue = max_queue
         self.worker_queue = worker_queue or max(1, max_queue // n_workers)
-        self.metrics = metrics if metrics is not None else ServingMetrics()
+        # Front-end accounting; fleet_metrics() aggregates the workers'.
+        self.metrics = ServingMetrics()
         self._requested_version = model_version
         self._requested_bundle = Path(bundle_path) if bundle_path is not None else None
         self._requested_store_dir = Path(store_dir) if store_dir is not None else None
@@ -617,7 +582,6 @@ class ServingFleet:
             cache_size=self.cache_size,
             max_batch_size=self.max_batch_size,
             max_wait_ms=self.max_wait_ms,
-            metrics_window=self.metrics._latencies.maxlen or 1024,
         )
 
     def _spawn_worker(self, wid: int) -> _WorkerHandle:
@@ -1006,9 +970,11 @@ class ServingFleet:
     async def fleet_metrics(self) -> dict:
         """Aggregate worker metrics: per-worker snapshots + fleet percentiles.
 
-        Worker latency windows are merged *raw* (not averaged), so the
-        reported p50/p95/p99 are true fleet-wide percentiles over the
-        union of recent requests, not a mean of per-worker percentiles.
+        Worker latency windows are merged *raw* (not averaged): the fleet
+        percentiles are taken over the union of each worker's last 1024
+        requests, not a mean of per-worker percentiles.  A busy worker's
+        window spans less wall time than an idle one's, so the union is
+        not a fixed-duration fleet-wide sample.
         """
         live = self._live_handles()
         replies = await asyncio.gather(
@@ -1016,8 +982,8 @@ class ServingFleet:
             return_exceptions=True,
         )
         workers = []
-        merged: list[float] = []
-        merged_waits: list[float] = []
+        latencies: list[list[float]] = []
+        queue_waits: list[list[float]] = []
         total_columns = 0
         total_batches = 0
         for handle, reply in zip(live, replies):
@@ -1025,8 +991,8 @@ class ServingFleet:
                 workers.append({"worker": handle.wid, "error": str(reply)})
                 continue
             snapshot = reply["metrics"]
-            merged.extend(reply["latencies"])
-            merged_waits.extend(reply.get("queue_waits", []))
+            latencies.append(reply["latencies"])
+            queue_waits.append(reply["queue_waits"])
             total_columns += snapshot["columns"]["served"]
             total_batches += snapshot["batches"]["count"]
             workers.append(
@@ -1042,8 +1008,6 @@ class ServingFleet:
                     "predictor": reply["predictor"],
                 }
             )
-        merged.sort()
-        merged_waits.sort()
         return {
             "size": self.n_workers,
             "alive": len(live),
@@ -1060,18 +1024,8 @@ class ServingFleet:
                 "fingerprint": self._fingerprint,
                 "swap_count": self._swap_count,
             },
-            "latency_ms": {
-                "window": len(merged),
-                "p50": _percentile(merged, 0.50) * 1e3,
-                "p95": _percentile(merged, 0.95) * 1e3,
-                "p99": _percentile(merged, 0.99) * 1e3,
-            },
-            "queue_wait_ms": {
-                "window": len(merged_waits),
-                "p50": _percentile(merged_waits, 0.50) * 1e3,
-                "p95": _percentile(merged_waits, 0.95) * 1e3,
-                "p99": _percentile(merged_waits, 0.99) * 1e3,
-            },
+            "latency_ms": LatencyWindow.merge(latencies).summary(),
+            "queue_wait_ms": LatencyWindow.merge(queue_waits).summary(),
             "columns_served": total_columns,
             "batches": total_batches,
             "workers": workers,

@@ -21,7 +21,6 @@ expensive per-table serving step — LDA inference — from repeat traffic.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import time
 import weakref
@@ -428,10 +427,9 @@ class Predictor:
         dict hits and one digest over 16-byte column hashes — no value is
         re-read.
         """
-        digest = hashlib.blake2b(digest_size=16)
-        for column in table.columns:
-            digest.update(bytes.fromhex(self._fingerprint(column)))
-        return digest.hexdigest()
+        return sketchstore.combine_fingerprints(
+            [self._fingerprint(column) for column in table.columns]
+        )
 
     def _batch_topics(self, tables: Sequence[Table]) -> np.ndarray | None:
         """Per-column topic matrix for the batch (None for topic-free models).

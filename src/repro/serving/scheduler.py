@@ -39,7 +39,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.obs import SpanContext, get_tracer
+from repro.obs import LatencyWindow, SpanContext, get_tracer
 from repro.tables import Table
 
 __all__ = [
@@ -50,6 +50,7 @@ __all__ = [
     "MicroBatcher",
     "QueueFullError",
     "ServingMetrics",
+    "run_batch",
 ]
 
 #: The default micro-batching policy, shared by the scheduler, the HTTP
@@ -68,35 +69,13 @@ class DrainingError(RuntimeError):
     """Raised when a request arrives while the scheduler is draining."""
 
 
-def _percentile(sorted_values: list[float], fraction: float) -> float:
-    """Nearest-rank percentile of an ascending list (0.0 for an empty one)."""
-    if not sorted_values:
-        return 0.0
-    position = round(fraction * (len(sorted_values) - 1))
-    rank = min(len(sorted_values) - 1, max(0, position))
-    return sorted_values[rank]
-
-
-def _latency_summary(sorted_values: list[float]) -> dict:
-    """The standard window/percentile block for a sorted latency window."""
-    return {
-        "window": len(sorted_values),
-        "p50": _percentile(sorted_values, 0.50) * 1e3,
-        "p95": _percentile(sorted_values, 0.95) * 1e3,
-        "p99": _percentile(sorted_values, 0.99) * 1e3,
-        "mean": (
-            (sum(sorted_values) / len(sorted_values) * 1e3) if sorted_values else 0.0
-        ),
-        "max": (sorted_values[-1] * 1e3) if sorted_values else 0.0,
-    }
-
-
 class ServingMetrics:
     """Counters and latency accounting for the online serving path.
 
-    Request latencies (admission to response) are kept in a bounded window
-    so percentiles reflect *recent* traffic; batch sizes are kept as a full
-    histogram so the batching policy's behaviour is visible at a glance.
+    Request latencies (admission to response) and queue waits each live in
+    a bounded :class:`~repro.obs.LatencyWindow`, so percentiles reflect
+    *recent* traffic; batch sizes are kept as a full histogram so the
+    batching policy's behaviour is visible at a glance.
     All numbers are exposed as one JSON-friendly dictionary by
     :meth:`snapshot` — this is exactly what ``GET /metrics`` returns.
 
@@ -123,7 +102,6 @@ class ServingMetrics:
     """
 
     def __init__(self, window: int = 1024) -> None:
-        self.window = window
         self.started_at = time.monotonic()
         # Wall-clock start for restart detection from probes: monotonic
         # uptime resets silently on respawn, the epoch timestamp does not.
@@ -139,8 +117,8 @@ class ServingMetrics:
         self.columns_served = 0
         self.batch_seconds = 0.0
         self.batch_size_histogram: dict[int, int] = {}
-        self._latencies: deque[float] = deque(maxlen=window)
-        self._queue_waits: deque[float] = deque(maxlen=window)
+        self.latency = LatencyWindow(window)
+        self.queue_wait = LatencyWindow(window)
         self._lock = threading.Lock()
 
     # -------------------------------------------------------------- recording
@@ -180,7 +158,7 @@ class ServingMetrics:
         """Account one completed request's admission-to-response latency."""
         with self._lock:
             self.completed += 1
-            self._latencies.append(latency_seconds)
+            self.latency.add(latency_seconds)
 
     def record_queue_wait(self, wait_seconds: float) -> None:
         """Account one request's admission-to-dispatch wait.
@@ -188,8 +166,7 @@ class ServingMetrics:
         Kept separate from total latency so queue pressure (batching
         linger, backlog) is distinguishable from model cost.
         """
-        with self._lock:
-            self._queue_waits.append(wait_seconds)
+        self.queue_wait.add(wait_seconds)
 
     def record_error(self) -> None:
         """Count a request that failed inside the model (HTTP 500)."""
@@ -199,27 +176,13 @@ class ServingMetrics:
     # ------------------------------------------------------------- reporting
 
     def latencies(self) -> list[float]:
-        """The raw latency window in seconds (arrival order, oldest first).
-
-        A fleet front-end merges the windows of every worker before
-        computing percentiles, so aggregated p50/p95/p99 are true fleet
-        percentiles rather than an average of per-worker ones.
-        """
-        with self._lock:
-            return list(self._latencies)
-
-    def queue_waits(self) -> list[float]:
-        """The raw queue-wait window in seconds (merged fleet-wide, like
-        :meth:`latencies`)."""
-        with self._lock:
-            return list(self._queue_waits)
+        """The raw latency window in seconds (arrival order, oldest first)."""
+        return self.latency.values()
 
     def snapshot(self) -> dict:
         """One JSON-friendly dictionary of every tracked number."""
         with self._lock:
             uptime = max(time.monotonic() - self.started_at, 1e-9)
-            latencies = sorted(self._latencies)
-            queue_waits = sorted(self._queue_waits)
             mean_batch = self.tables_served / self.batches if self.batches else 0.0
             return {
                 "uptime_seconds": uptime,
@@ -242,8 +205,8 @@ class ServingMetrics:
                     },
                     "model_seconds_total": self.batch_seconds,
                 },
-                "latency_ms": _latency_summary(latencies),
-                "queue_wait_ms": _latency_summary(queue_waits),
+                "latency_ms": self.latency.summary(),
+                "queue_wait_ms": self.queue_wait.summary(),
                 "columns": {
                     "served": self.columns_served,
                     "tables": self.tables_served,
@@ -283,12 +246,10 @@ class MicroBatcher:
         Admission bound on the pending queue.  ``submit`` calls beyond it
         raise :class:`QueueFullError` immediately (fail fast beats an
         unbounded backlog).
-    metrics:
-        Optional shared :class:`ServingMetrics`; one is created if omitted.
 
-    The batcher must be started inside a running event loop — either with
-    ``await batcher.start()`` / ``await batcher.drain()`` or as an async
-    context manager.
+    The batcher records into its own :attr:`metrics` and must be started
+    inside a running event loop — either with ``await batcher.start()`` /
+    ``await batcher.drain()`` or as an async context manager.
 
     Examples:
         >>> import asyncio
@@ -314,7 +275,6 @@ class MicroBatcher:
         max_batch_size: int = DEFAULT_MAX_BATCH_SIZE,
         max_wait_ms: float = DEFAULT_MAX_WAIT_MS,
         max_queue: int = DEFAULT_MAX_QUEUE,
-        metrics: ServingMetrics | None = None,
     ) -> None:
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
@@ -326,7 +286,7 @@ class MicroBatcher:
         self.max_batch_size = max_batch_size
         self.max_wait_ms = max_wait_ms
         self.max_queue = max_queue
-        self.metrics = metrics if metrics is not None else ServingMetrics()
+        self.metrics = ServingMetrics()
         self._queue: deque[_Pending] = deque()
         self._wake = asyncio.Event()
         self._draining = False
@@ -508,50 +468,69 @@ class MicroBatcher:
     async def _dispatch(
         self, loop: asyncio.AbstractEventLoop, batch: list[_Pending]
     ) -> None:
-        tables = [pending.table for pending in batch]
-        started = time.monotonic()
-        tracer = get_tracer()
-        waits = [started - pending.enqueued_at for pending in batch]
-        for wait in waits:
-            self.metrics.record_queue_wait(wait)
-            tracer.observe("queue.wait", wait)
-        anchor = next(
-            (pending.context for pending in batch if pending.context is not None),
-            None,
-        )
-
-        def _predict() -> list[list[str]]:
-            # run_in_executor does not carry contextvars across the thread
-            # hop: adopt the first request's span as the batch anchor so
-            # predictor-internal spans land in that request's trace.
-            token = tracer.attach(anchor)
-            try:
-                with tracer.span("batch.predict", batch_size=len(tables)):
-                    return self.predictor.predict_tables(tables)
-            finally:
-                tracer.detach(token)
-
         try:
-            results = await loop.run_in_executor(self._executor, _predict)
+            results, version, waits, _anchor = await loop.run_in_executor(
+                self._executor,
+                run_batch,
+                self.predictor,
+                [pending.table for pending in batch],
+                [pending.enqueued_at for pending in batch],
+                [pending.context for pending in batch],
+                self.metrics,
+                "batch.predict",
+            )
         except Exception as error:  # surfaced per request as HTTP 500
             for pending in batch:
                 if not pending.future.done():
                     pending.future.set_exception(error)
-                self.metrics.record_error()
             return
-        seconds = time.monotonic() - started
-        # Which model served this batch: predict_tables records it under the
-        # predictor's swap lock, and this dispatch thread is the predictor's
-        # only caller, so reading it here is race-free even mid-hot-swap.
-        version = getattr(self.predictor, "last_batch_version", None)
-        self.metrics.record_batch(
-            n_tables=len(tables),
-            n_columns=sum(table.n_columns for table in tables),
-            seconds=seconds,
-        )
-        finished = time.monotonic()
         for pending, labels, wait in zip(batch, results, waits):
             if not pending.future.done():
-                info = {"batch_size": len(tables), "queue_wait": wait}
+                info = {"batch_size": len(batch), "queue_wait": wait}
                 pending.future.set_result((labels, version, info))
-            self.metrics.record_request(finished - pending.enqueued_at)
+
+
+def run_batch(
+    predictor,
+    tables: Sequence[Table],
+    enqueued_at: Sequence[float],
+    contexts: Sequence,
+    metrics: ServingMetrics,
+    span_name: str,
+) -> tuple[list[list[str]], str | None, list[float], SpanContext | None]:
+    """Serve one batch and do all of its accounting (the one batch path).
+
+    Runs on :class:`MicroBatcher`'s dispatch thread and in fleet workers.
+    The first request context anchors the ``span_name`` span, since thread
+    and process hops do not carry contextvars.  Returns ``(labels, version,
+    queue waits, anchor)``; ``version`` is ``last_batch_version`` read by
+    the predictor's only caller, so it is exact even mid-hot-swap.  A
+    failure counts one error per request and propagates.
+    """
+    tracer = get_tracer()
+    started = time.monotonic()
+    waits = [started - at for at in enqueued_at]
+    for wait in waits:
+        metrics.record_queue_wait(wait)
+        tracer.observe("queue.wait", wait)
+    anchor = next((context for context in contexts if context is not None), None)
+    token = tracer.attach(anchor)
+    try:
+        with tracer.span(span_name, batch_size=len(tables)):
+            results = predictor.predict_tables(tables)
+        version = getattr(predictor, "last_batch_version", None)
+    except Exception:
+        for _ in tables:
+            metrics.record_error()
+        raise
+    finally:
+        tracer.detach(token)
+    finished = time.monotonic()
+    metrics.record_batch(
+        n_tables=len(tables),
+        n_columns=sum(table.n_columns for table in tables),
+        seconds=finished - started,
+    )
+    for at in enqueued_at:
+        metrics.record_request(finished - at)
+    return results, version, waits, anchor

@@ -59,7 +59,6 @@ from repro.serving.scheduler import (
     DrainingError,
     MicroBatcher,
     QueueFullError,
-    ServingMetrics,
 )
 from repro.tables import Table
 
@@ -167,7 +166,8 @@ def _predict_batch_payload(body: bytes) -> list[Table]:
 def _decode_json(body: bytes) -> dict:
     try:
         payload = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as error:
+        # RecursionError: hostile nesting ("[" * 100_000) is malformed too.
         raise MalformedRequest(f"body is not valid JSON: {error}") from error
     if not isinstance(payload, dict):
         raise MalformedRequest("body must be a JSON object")
@@ -254,18 +254,15 @@ class ServingServer:
         self.predictor = predictor
         self.host = host
         self._requested_port = port
-        if batcher is not None:
-            self.batcher = batcher
-            self.metrics = batcher.metrics
-        else:
-            self.metrics = ServingMetrics()
-            self.batcher = MicroBatcher(
+        if batcher is None:
+            batcher = MicroBatcher(
                 predictor,
                 max_batch_size=max_batch_size,
                 max_wait_ms=max_wait_ms,
                 max_queue=max_queue,
-                metrics=self.metrics,
             )
+        self.batcher = batcher
+        self.metrics = batcher.metrics
         self.registry = registry
         self.model_name = model_name
         self.watch_interval = watch_interval

@@ -24,6 +24,7 @@ import repro.obs.logs
 import repro.obs.profile
 import repro.obs.prom
 import repro.obs.trace
+import repro.obs.window
 import repro.registry
 import repro.registry.shadow
 import repro.registry.store
@@ -53,6 +54,7 @@ DOCUMENTED_MODULES = [
     repro.obs.profile,
     repro.obs.prom,
     repro.obs.trace,
+    repro.obs.window,
     repro.registry,
     repro.registry.shadow,
     repro.registry.store,
@@ -74,6 +76,7 @@ PUBLIC_EXAMPLE_PACKAGES = {
     repro.obs.profile: ["profile_predictor", "render_flame"],
     repro.obs.prom: ["render_prometheus"],
     repro.obs.trace: ["Span", "StageAggregates", "Tracer"],
+    repro.obs.window: ["LatencyWindow"],
     repro.registry.store: ["ModelRegistry"],
     repro.registry.shadow: ["ShadowEvaluator"],
     repro.registry.watch: ["RegistryWatcher"],

@@ -310,6 +310,9 @@ class TestFleetServing:
         assert fleet["columns_served"] > 0
         assert fleet["latency_ms"]["window"] > 0
         assert fleet["latency_ms"]["p50"] <= fleet["latency_ms"]["p99"]
+        # The merged fleet blocks have the shape of the top-level ones.
+        assert set(fleet["latency_ms"]) == set(payload["latency_ms"])
+        assert set(fleet["queue_wait_ms"]) == set(payload["latency_ms"])
         routing = fleet["routing"]
         assert routing["affinity_hits"] + routing["spills"] > 0
         per_worker = [w for w in fleet["workers"] if "metrics" in w]

@@ -26,6 +26,9 @@ from repro.tables import Column, Table
 #: NFD-normalised "café" — the combining acute must survive byte-for-byte.
 NFD_CAFE = unicodedata.normalize("NFD", "café")
 
+#: One line of 100k open brackets: json.loads raises RecursionError on it.
+HOSTILE_NESTING = "[" * 100_000
+
 ROUND_TRIP_ADAPTERS = ["csv", "ndjson", "sqlite", "tables-jsonl"]
 
 SUFFIX_FOR = {
@@ -152,10 +155,11 @@ class TestNdjson:
         assert tuple(table.columns[2].values) == ("1.5", "7", "-0.25")
 
     def test_invalid_json_line_raises(self, tmp_path):
-        path = tmp_path / "bad.ndjson"
-        path.write_text('{"a": 1}\nnot json\n', encoding="utf-8")
-        with pytest.raises(IngestError, match="line 2"):
-            next(iter(open_source(path, 10))).materialize()
+        for bad in ("not json", HOSTILE_NESTING):
+            path = tmp_path / "bad.ndjson"
+            path.write_text('{"a": 1}\n' + bad + "\n", encoding="utf-8")
+            with pytest.raises(IngestError, match="line 2"):
+                next(iter(open_source(path, 10))).materialize()
 
     def test_non_object_line_raises(self, tmp_path):
         path = tmp_path / "arr.ndjson"
@@ -174,6 +178,15 @@ class TestNdjson:
         path.write_text("", encoding="utf-8")
         with pytest.raises(IngestError):
             list(open_source(path, 10))
+
+
+class TestTablesJsonl:
+    def test_invalid_json_line_raises(self, tmp_path):
+        for bad in ("not json", HOSTILE_NESTING):
+            path = tmp_path / "bad.jsonl"
+            path.write_text('{"columns": []}\n' + bad + "\n", encoding="utf-8")
+            with pytest.raises(IngestError, match="line 2"):
+                list(open_source(path, 10))
 
 
 class TestSqlite:

@@ -23,11 +23,15 @@ import time
 
 import pytest
 
+from hypothesis import given, strategies as st
+
 from repro.obs import (
     COVERAGE_STAGES,
+    LatencyWindow,
     RequestLogger,
     StageAggregates,
     Tracer,
+    percentile,
     profile_predictor,
     render_flame,
     render_prometheus,
@@ -152,6 +156,56 @@ class TestStageAggregates:
         assert snap["count"] == 7  # cumulative count keeps everything
         assert snap["window"] == 4
         assert snap["p99_ms"] == pytest.approx(2.0)  # old 1s spikes evicted
+
+
+durations = st.floats(min_value=0.0, max_value=10.0, allow_nan=False)
+
+
+class TestLatencyWindow:
+    @given(st.lists(st.lists(durations, max_size=20), max_size=5))
+    def test_merge_equals_one_window_fed_the_concatenation(self, chunks):
+        windows = []
+        for chunk in chunks:
+            window = LatencyWindow(size=20)
+            for seconds in chunk:
+                window.add(seconds)
+            windows.append(window)
+        single = LatencyWindow(size=None)
+        for seconds in (s for chunk in chunks for s in chunk):
+            single.add(seconds)
+        merged = LatencyWindow.merge(windows)
+        assert merged.values() == single.values()
+        assert merged.summary() == single.summary()
+        raw = LatencyWindow.merge(window.values() for window in windows)
+        assert raw.summary() == single.summary()
+
+    @given(st.integers(min_value=1, max_value=16), st.lists(durations, max_size=64))
+    def test_keeps_exactly_the_last_size_values(self, size, values):
+        window = LatencyWindow(size=size)
+        for seconds in values:
+            window.add(seconds)
+        assert window.values() == values[-size:]
+        assert window.summary()["window"] == min(size, len(values))
+
+    def test_empty_window_summarises_to_zeros(self):
+        assert LatencyWindow().summary() == {
+            "window": 0,
+            "p50": 0.0,
+            "p95": 0.0,
+            "p99": 0.0,
+            "mean": 0.0,
+            "max": 0.0,
+        }
+
+    @given(
+        st.lists(durations, min_size=1, max_size=200),
+        st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_percentile_is_the_nearest_rank(self, values, fraction):
+        ordered = sorted(values)
+        assert percentile(ordered, fraction) == ordered[
+            round(fraction * (len(ordered) - 1))
+        ]
 
 
 # ------------------------------------------------- prometheus + request logs

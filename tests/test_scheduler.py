@@ -13,13 +13,13 @@ import time
 
 import pytest
 
+from repro.obs import percentile
 from repro.serving import (
     DrainingError,
     MicroBatcher,
     QueueFullError,
     ServingMetrics,
 )
-from repro.serving.scheduler import _percentile
 from repro.tables import Column, Table
 
 
@@ -270,11 +270,11 @@ class TestServingMetrics:
         assert metrics.completed == 100  # the counter is not windowed
 
     def test_percentile_nearest_rank(self):
-        assert _percentile([], 0.5) == 0.0
+        assert percentile([], 0.5) == 0.0
         values = [1.0, 2.0, 3.0, 4.0]
-        assert _percentile(values, 0.0) == 1.0
-        assert _percentile(values, 1.0) == 4.0
-        assert _percentile(values, 0.5) in (2.0, 3.0)
+        assert percentile(values, 0.0) == 1.0
+        assert percentile(values, 1.0) == 4.0
+        assert percentile(values, 0.5) in (2.0, 3.0)
 
     def test_latencies_returns_raw_window_in_order(self):
         metrics = ServingMetrics(window=3)

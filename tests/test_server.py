@@ -21,6 +21,10 @@ from repro.serving import Predictor, serve_in_thread
 
 TIMEOUT = 30
 
+#: ~100 KB of open brackets: json.loads raises RecursionError, not a
+#: JSONDecodeError, so this probes the 400 path for hostile nesting.
+HOSTILE_NESTING = b"[" * 100_000
+
 
 def _raw_request_status(port: int, raw: bytes, half_close: bool = False) -> int:
     """Send raw bytes over a socket; returns the HTTP status of the reply."""
@@ -145,8 +149,10 @@ class TestObservabilityEndpoints:
 
 class TestErrorContract:
     def test_400_not_json(self, server):
-        status, payload = request(server.port, "POST", "/v1/predict", body=b"not json")
-        assert status == 400 and "JSON" in payload["error"]
+        for path in ("/v1/predict", "/v1/predict_batch"):
+            for body in (b"not json", HOSTILE_NESTING):
+                status, payload = request(server.port, "POST", path, body=body)
+                assert status == 400 and "JSON" in payload["error"]
 
     def test_400_missing_table_key(self, server):
         status, payload = request(server.port, "POST", "/v1/predict", {"nope": 1})
@@ -194,10 +200,11 @@ class TestErrorContract:
         assert status == 413
 
     def test_400_tracked_in_metrics(self, server):
-        before = request(server.port, "GET", "/metrics")[1]["requests"]["malformed"]
-        request(server.port, "POST", "/v1/predict", body=b"broken")
-        after = request(server.port, "GET", "/metrics")[1]["requests"]["malformed"]
-        assert after == before + 1
+        for body in (b"broken", HOSTILE_NESTING):
+            before = request(server.port, "GET", "/metrics")[1]["requests"]["malformed"]
+            request(server.port, "POST", "/v1/predict", body=body)
+            after = request(server.port, "GET", "/metrics")[1]["requests"]["malformed"]
+            assert after == before + 1
 
 
 class SlowPredictor:
