@@ -3,8 +3,9 @@
 The observability layer (``repro.obs``) is designed to be left on in
 production — per-stage spans on every micro-batch, bounded-window
 aggregates on every request.  That claim is enforced here, not asserted in
-a docstring: the same serving-shaped workload (distinct tables, warm
-model, ``predict_tables`` in micro-batch slices plus the JSON encode the
+a docstring: the same serving-shaped workload (distinct tables, the warm
+full Sato model — LDA topic inference and CRF decode included —
+``predict_tables`` in micro-batch slices plus the JSON encode the
 HTTP server pays) runs with the process tracer enabled and disabled in
 *alternating* rounds, best-of each arm, so CPU-frequency drift hits both
 arms equally.  ``traced_vs_untraced`` is the throughput ratio (1.0 = free;
@@ -46,9 +47,9 @@ ROUNDS = 3
 BATCH_SIZE = 8
 
 #: Serving corpus sizes per preset: distinct tables with realistic row
-#: counts, so the measured work is featurization/forward-bound (the regime
-#: the <=5% contract is about) rather than span bookkeeping on near-empty
-#: batches.
+#: counts, so the measured work is real per-table work (featurization,
+#: topic inference, forward, decode: the regime the <=5% contract is about)
+#: rather than span bookkeeping on near-empty batches.
 N_TABLES = {"tiny": 48, "fast": 160, "large": 400}
 
 
@@ -75,7 +76,8 @@ def _replay(predictor, tables) -> float:
 def _overhead_comparison(config) -> dict:
     dataset = build_corpus(config)
     multi = [t for t in dataset.tables if t.n_columns > 1]
-    model = make_model_factories(config)["Base"]()
+    # The full variant, so the profile covers topic inference and the CRF.
+    model = make_model_factories(config)["Sato"]()
     model.fit(multi)
     predictor = Predictor(model, cache_size=1)  # no cache: measure real work
 

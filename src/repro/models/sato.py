@@ -16,6 +16,7 @@ variant        topic-aware structured (CRF)
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
@@ -117,9 +118,13 @@ class SatoModel(ColumnModel):
     def fit(self, tables: Sequence[Table]) -> "SatoModel":
         """Train the column-wise model, then (optionally) the CRF layer."""
         tables = list(tables)
-        self.column_model.fit(tables)
-        if self.config.use_struct:
-            self._fit_crf(tables)
+        # The column network and the CRF unaries both need every table's
+        # topic vector: infer each one once.
+        estimator = getattr(self.column_model, "intent_estimator", None)
+        with estimator.reuse_vectors() if estimator is not None else nullcontext():
+            self.column_model.fit(tables)
+            if self.config.use_struct:
+                self._fit_crf(tables)
         return self
 
     def fit_structured(self, tables: Sequence[Table]) -> "SatoModel":

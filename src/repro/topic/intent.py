@@ -7,7 +7,8 @@ of the table shares.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from contextlib import contextmanager
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -47,6 +48,8 @@ class TableIntentEstimator:
             seed=seed,
         )
         self._fitted = False
+        # Document -> topic vector, only inside :meth:`reuse_vectors`.
+        self._memo: dict[tuple[str, ...], np.ndarray] | None = None
 
     @property
     def is_fitted(self) -> bool:
@@ -64,7 +67,25 @@ class TableIntentEstimator:
         dictionary = Dictionary(no_below=2, no_above=0.7).fit(documents)
         self.lda.fit(documents, dictionary=dictionary)
         self._fitted = True
+        if self._memo is not None:
+            self._memo.clear()
         return self
+
+    @contextmanager
+    def reuse_vectors(self) -> Iterator[None]:
+        """Infer each distinct table document's topic vector once in this block.
+
+        Inference reseeds its Gibbs chain on every call, so a topic vector is
+        a pure function of the table document and a repeated document can
+        return the first result unchanged.  Training wraps the column-network
+        and CRF stages in one block, since both need every table's vector.
+        The memo is dropped when the block exits.
+        """
+        self._memo = {}
+        try:
+            yield
+        finally:
+            self._memo = None
 
     # -------------------------------------------------------- serialisation
 
@@ -93,7 +114,13 @@ class TableIntentEstimator:
         """Infer the topic vector of one table."""
         if not self._fitted:
             raise RuntimeError("intent estimator is not fitted")
-        return self.lda.transform(self.table_document(table))
+        document = self.table_document(table)
+        if self._memo is None:
+            return self.lda.transform(document)
+        key = tuple(document)
+        if key not in self._memo:
+            self._memo[key] = self.lda.transform(document)
+        return self._memo[key]
 
     def topic_vector_from_tokens(self, tokens: Sequence[str]) -> np.ndarray:
         """Infer the topic vector from a pre-assembled table document.

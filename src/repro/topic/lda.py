@@ -10,6 +10,7 @@ the topic-token counts frozen.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -17,6 +18,23 @@ import numpy as np
 from repro.topic.dictionary import Dictionary
 
 __all__ = ["LatentDirichletAllocation"]
+
+
+def _draw_topic(weights: np.ndarray, rng: np.random.Generator) -> int:
+    """Sample an index with probability proportional to ``weights``.
+
+    Bit-identical to ``rng.choice(weights.size, p=weights / weights.sum())``:
+    the same cumulative sum, renormalisation and right-sided search over one
+    ``rng.random()`` double, without ``choice``'s per-call argument checks.
+    A non-positive or non-finite sum falls back to a uniform
+    ``rng.integers`` draw.
+    """
+    total = weights.sum()
+    if total <= 0 or not math.isfinite(total):
+        return int(rng.integers(0, weights.size))
+    cdf = (weights / total).cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 class LatentDirichletAllocation:
@@ -78,68 +96,51 @@ class LatentDirichletAllocation:
         vocabulary_size = max(1, len(self.dictionary))
         rng = np.random.default_rng(self.seed)
 
-        doc_tokens = [np.array(self.dictionary.doc2ids(d), dtype=np.int64) for d in documents]
+        doc_tokens = [
+            np.array(self.dictionary.doc2ids(d), dtype=np.int64) for d in documents
+        ]
         assignments = [
             rng.integers(0, self.n_topics, size=tokens.size) for tokens in doc_tokens
         ]
 
-        topic_token = np.zeros((self.n_topics, vocabulary_size), dtype=np.float64)
+        # Token-major while sampling, so each token's topic counts are one
+        # contiguous row; transposed back to topic-major when done.
+        token_topic = np.zeros((vocabulary_size, self.n_topics), dtype=np.float64)
         topic_totals = np.zeros(self.n_topics, dtype=np.float64)
         doc_topic = np.zeros((len(documents), self.n_topics), dtype=np.float64)
-        for d, (tokens, topics) in enumerate(zip(doc_tokens, assignments)):
-            for token, topic in zip(tokens, topics):
-                topic_token[topic, token] += 1
-                topic_totals[topic] += 1
-                doc_topic[d, topic] += 1
+        for tokens, topics, doc_topic_row in zip(doc_tokens, assignments, doc_topic):
+            np.add.at(token_topic, (tokens, topics), 1)
+            np.add.at(topic_totals, topics, 1)
+            np.add.at(doc_topic_row, topics, 1)
+        doc_tokens = [tokens.tolist() for tokens in doc_tokens]
+        assignments = [topics.tolist() for topics in assignments]
 
+        beta_sum = self.beta * vocabulary_size
         for _ in range(self.n_iterations):
-            for d, (tokens, topics) in enumerate(zip(doc_tokens, assignments)):
-                self._gibbs_sweep(
-                    tokens, topics, doc_topic[d], topic_token, topic_totals,
-                    vocabulary_size, rng, update_topics=True,
-                )
+            for tokens, topics, doc_topic_row in zip(
+                doc_tokens, assignments, doc_topic
+            ):
+                for position, token in enumerate(tokens):
+                    token_row = token_topic[token]
+                    old_topic = topics[position]
+                    doc_topic_row[old_topic] -= 1
+                    token_row[old_topic] -= 1
+                    topic_totals[old_topic] -= 1
+                    weights = (
+                        (token_row + self.beta)
+                        / (topic_totals + beta_sum)
+                        * (doc_topic_row + self.alpha)
+                    )
+                    new_topic = _draw_topic(weights, rng)
+                    topics[position] = new_topic
+                    doc_topic_row[new_topic] += 1
+                    token_row[new_topic] += 1
+                    topic_totals[new_topic] += 1
 
-        self.topic_token_counts = topic_token
+        self.topic_token_counts = np.ascontiguousarray(token_topic.T)
         self.topic_counts = topic_totals
         self._fitted = True
         return self
-
-    def _gibbs_sweep(
-        self,
-        tokens: np.ndarray,
-        topics: np.ndarray,
-        doc_topic_row: np.ndarray,
-        topic_token: np.ndarray,
-        topic_totals: np.ndarray,
-        vocabulary_size: int,
-        rng: np.random.Generator,
-        update_topics: bool,
-    ) -> None:
-        beta_sum = self.beta * vocabulary_size
-        for position in range(tokens.size):
-            token = tokens[position]
-            old_topic = topics[position]
-            doc_topic_row[old_topic] -= 1
-            if update_topics:
-                topic_token[old_topic, token] -= 1
-                topic_totals[old_topic] -= 1
-
-            weights = (
-                (topic_token[:, token] + self.beta)
-                / (topic_totals + beta_sum)
-                * (doc_topic_row + self.alpha)
-            )
-            weights_sum = weights.sum()
-            if weights_sum <= 0 or not np.isfinite(weights_sum):
-                new_topic = int(rng.integers(0, self.n_topics))
-            else:
-                new_topic = int(rng.choice(self.n_topics, p=weights / weights_sum))
-
-            topics[position] = new_topic
-            doc_topic_row[new_topic] += 1
-            if update_topics:
-                topic_token[new_topic, token] += 1
-                topic_totals[new_topic] += 1
 
     # -------------------------------------------------------- serialisation
 
@@ -169,8 +170,7 @@ class LatentDirichletAllocation:
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
         """Restore state produced by :meth:`state_dict`."""
         self.dictionary = Dictionary.from_tokens(state["tokens"].tolist())
-        # Zero-copy: inference runs :meth:`_gibbs_sweep` with
-        # ``update_topics=False``, which only *reads* the count matrices, so
+        # Zero-copy: :meth:`transform` only *reads* the count matrices, so
         # they can safely be non-writeable shared-memory views (one copy of
         # the topic model for a whole serving fleet).
         self.topic_token_counts = np.asarray(
@@ -192,10 +192,14 @@ class LatentDirichletAllocation:
             return np.full(self.n_topics, 1.0 / self.n_topics)
         rng = np.random.default_rng(self.seed + 1)
         topics = rng.integers(0, self.n_topics, size=tokens.size)
-        doc_topic_row = np.zeros(self.n_topics, dtype=np.float64)
-        for topic in topics:
-            doc_topic_row[topic] += 1
+        doc_topic_row = np.bincount(topics, minlength=self.n_topics).astype(np.float64)
+        topics = topics.tolist()
+        # The topic-token counts are frozen at inference, so each position's
+        # topic-token factor is gathered once per document: one (tokens, K)
+        # matrix instead of two vector ops per token per sweep.
         vocabulary_size = max(1, len(self.dictionary))
+        topic_norm = self.topic_counts + self.beta * vocabulary_size
+        phi = (self.topic_token_counts[:, tokens] + self.beta).T / topic_norm
         # Average the document-topic counts over the second half of the
         # chain: a single final sweep is a high-variance sample, and that
         # variance would leak straight into the topic features.
@@ -203,11 +207,12 @@ class LatentDirichletAllocation:
         n_accumulated = 0
         burn_in = max(1, self.infer_iterations // 2)
         for iteration in range(self.infer_iterations):
-            self._gibbs_sweep(
-                tokens, topics, doc_topic_row,
-                self.topic_token_counts, self.topic_counts,
-                vocabulary_size, rng, update_topics=False,
-            )
+            for position, token_phi in enumerate(phi):
+                old_topic = topics[position]
+                doc_topic_row[old_topic] -= 1
+                new_topic = _draw_topic(token_phi * (doc_topic_row + self.alpha), rng)
+                topics[position] = new_topic
+                doc_topic_row[new_topic] += 1
             if iteration >= burn_in:
                 accumulated += doc_topic_row
                 n_accumulated += 1
@@ -218,9 +223,9 @@ class LatentDirichletAllocation:
 
     def transform_many(self, documents: Sequence[Sequence[str]]) -> np.ndarray:
         """Infer topic distributions for several documents."""
-        return np.stack([self.transform(d) for d in documents]) if documents else (
-            np.zeros((0, self.n_topics))
-        )
+        if not documents:
+            return np.zeros((0, self.n_topics))
+        return np.stack([self.transform(d) for d in documents])
 
     def topic_top_tokens(self, topic: int, k: int = 10) -> list[str]:
         """Most probable tokens of a topic."""
@@ -228,7 +233,11 @@ class LatentDirichletAllocation:
             raise RuntimeError("LDA model is not fitted")
         assert self.dictionary is not None and self.topic_token_counts is not None
         order = np.argsort(-self.topic_token_counts[topic])
-        return [self.dictionary.id_to_token[i] for i in order[:k] if i < len(self.dictionary)]
+        return [
+            self.dictionary.id_to_token[i]
+            for i in order[:k]
+            if i < len(self.dictionary)
+        ]
 
     def topic_word_distribution(self) -> np.ndarray:
         """The (n_topics, vocabulary) topic-token probability matrix."""

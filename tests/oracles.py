@@ -16,6 +16,12 @@ against the simple implementations kept here:
 * **Both** — :func:`loop_predict_table` / :func:`loop_predict_proba_table`
   chain the per-value features into a per-table forward pass and decode,
   the in-memory reference that bulk annotation is checked against.
+* **Topics** — :func:`choice_lda_fit` / :func:`choice_lda_transform` run
+  collapsed Gibbs sampling with one ``Generator.choice(p=...)`` call per
+  token.  :class:`~repro.topic.LatentDirichletAllocation` draws each token's
+  topic inline (and freezes the topic-token factor per document at
+  inference); its count matrices and topic vectors must match these bit
+  for bit.
 
 Importable from ``tests/`` (on ``sys.path`` under pytest) and from
 ``benchmarks/`` (whose ``conftest.py`` appends ``tests/``).
@@ -31,6 +37,8 @@ from repro.embeddings import tokenize_values
 from repro.features import ColumnFeaturizer, char_features, column_statistics
 from repro.models import SatoModel, TopicAwareModel
 from repro.tables import Column, Table
+from repro.topic import LatentDirichletAllocation
+from repro.topic.dictionary import Dictionary
 
 __all__ = [
     "loop_raw_features",
@@ -42,6 +50,9 @@ __all__ = [
     "per_table_decode",
     "per_table_predict",
     "per_table_predict_proba",
+    "choice_gibbs_sweep",
+    "choice_lda_fit",
+    "choice_lda_transform",
 ]
 
 
@@ -112,3 +123,133 @@ def per_table_predict_proba(
 ) -> list[np.ndarray]:
     """Structured distributions for a batch, decoded one table at a time."""
     return [model.predict_proba_table(table) for table in tables]
+
+
+def choice_gibbs_sweep(
+    lda: LatentDirichletAllocation,
+    tokens: np.ndarray,
+    topics: np.ndarray,
+    doc_topic_row: np.ndarray,
+    topic_token: np.ndarray,
+    topic_totals: np.ndarray,
+    vocabulary_size: int,
+    rng: np.random.Generator,
+    update_topics: bool,
+) -> None:
+    """One Gibbs sweep over a document, sampling with ``rng.choice(p=...)``.
+
+    ``update_topics`` moves the shared topic-token counts with each token
+    (training); without it they stay frozen (inference).
+    """
+    beta_sum = lda.beta * vocabulary_size
+    for position in range(tokens.size):
+        token = tokens[position]
+        old_topic = topics[position]
+        doc_topic_row[old_topic] -= 1
+        if update_topics:
+            topic_token[old_topic, token] -= 1
+            topic_totals[old_topic] -= 1
+
+        weights = (
+            (topic_token[:, token] + lda.beta)
+            / (topic_totals + beta_sum)
+            * (doc_topic_row + lda.alpha)
+        )
+        weights_sum = weights.sum()
+        if weights_sum <= 0 or not np.isfinite(weights_sum):
+            new_topic = int(rng.integers(0, lda.n_topics))
+        else:
+            new_topic = int(rng.choice(lda.n_topics, p=weights / weights_sum))
+
+        topics[position] = new_topic
+        doc_topic_row[new_topic] += 1
+        if update_topics:
+            topic_token[new_topic, token] += 1
+            topic_totals[new_topic] += 1
+
+
+def choice_lda_fit(
+    lda: LatentDirichletAllocation,
+    documents: Sequence[Sequence[str]],
+    dictionary: Dictionary | None = None,
+) -> LatentDirichletAllocation:
+    """Train ``lda`` in place with :func:`choice_gibbs_sweep`; returns it."""
+    documents = [list(d) for d in documents]
+    lda.dictionary = dictionary or Dictionary().fit(documents)
+    vocabulary_size = max(1, len(lda.dictionary))
+    rng = np.random.default_rng(lda.seed)
+
+    doc_tokens = [
+        np.array(lda.dictionary.doc2ids(d), dtype=np.int64) for d in documents
+    ]
+    assignments = [
+        rng.integers(0, lda.n_topics, size=tokens.size) for tokens in doc_tokens
+    ]
+
+    topic_token = np.zeros((lda.n_topics, vocabulary_size), dtype=np.float64)
+    topic_totals = np.zeros(lda.n_topics, dtype=np.float64)
+    doc_topic = np.zeros((len(documents), lda.n_topics), dtype=np.float64)
+    for d, (tokens, topics) in enumerate(zip(doc_tokens, assignments)):
+        for token, topic in zip(tokens, topics):
+            topic_token[topic, token] += 1
+            topic_totals[topic] += 1
+            doc_topic[d, topic] += 1
+
+    for _ in range(lda.n_iterations):
+        for d, (tokens, topics) in enumerate(zip(doc_tokens, assignments)):
+            choice_gibbs_sweep(
+                lda,
+                tokens,
+                topics,
+                doc_topic[d],
+                topic_token,
+                topic_totals,
+                vocabulary_size,
+                rng,
+                update_topics=True,
+            )
+
+    lda.topic_token_counts = topic_token
+    lda.topic_counts = topic_totals
+    lda._fitted = True
+    return lda
+
+
+def choice_lda_transform(
+    lda: LatentDirichletAllocation, document: Sequence[str]
+) -> np.ndarray:
+    """Topic distribution of one document, frozen counts, ``choice`` sampling."""
+    if not lda.is_fitted:
+        raise RuntimeError("LDA model is not fitted")
+    assert lda.dictionary is not None
+    tokens = np.array(lda.dictionary.doc2ids(document), dtype=np.int64)
+    if tokens.size == 0:
+        return np.full(lda.n_topics, 1.0 / lda.n_topics)
+    rng = np.random.default_rng(lda.seed + 1)
+    topics = rng.integers(0, lda.n_topics, size=tokens.size)
+    doc_topic_row = np.zeros(lda.n_topics, dtype=np.float64)
+    for topic in topics:
+        doc_topic_row[topic] += 1
+    vocabulary_size = max(1, len(lda.dictionary))
+    accumulated = np.zeros(lda.n_topics, dtype=np.float64)
+    n_accumulated = 0
+    burn_in = max(1, lda.infer_iterations // 2)
+    for iteration in range(lda.infer_iterations):
+        choice_gibbs_sweep(
+            lda,
+            tokens,
+            topics,
+            doc_topic_row,
+            lda.topic_token_counts,
+            lda.topic_counts,
+            vocabulary_size,
+            rng,
+            update_topics=False,
+        )
+        if iteration >= burn_in:
+            accumulated += doc_topic_row
+            n_accumulated += 1
+    if n_accumulated == 0:
+        accumulated, n_accumulated = doc_topic_row, 1
+    distribution = accumulated / n_accumulated + lda.alpha
+    return distribution / distribution.sum()

@@ -11,6 +11,7 @@ from repro.models import (
 )
 from repro.models.column_network import GroupSpec, NetworkTrainer
 from repro.tables import Column, Table
+from repro.topic import LatentDirichletAllocation
 from repro.types import NUM_TYPES, SEMANTIC_TYPES
 
 from helpers import make_tiny_model
@@ -140,6 +141,31 @@ class TestTopicAwareAndSato:
         assert SatoModel.base().name == "Base"
         assert SatoModel.no_topic().name == "SatoNoTopic"
         assert SatoModel.no_struct().name == "SatoNoStruct"
+
+    def test_fit_infers_each_topic_vector_once(self, train_test_tables, monkeypatch):
+        train, _ = train_test_tables
+        train = train[:20]
+        # Reference: the column model and the CRF trained in two separate
+        # calls, so the CRF unaries re-infer every table's topic vector.
+        reference = make_tiny_model(use_topic=True, use_struct=True)
+        reference.column_model.fit(train)
+        reference.fit_structured(train)
+
+        documents = []
+        transform = LatentDirichletAllocation.transform
+        monkeypatch.setattr(
+            LatentDirichletAllocation,
+            "transform",
+            lambda self, document: documents.append(tuple(document))
+            or transform(self, document),
+        )
+        model = make_tiny_model(use_topic=True, use_struct=True).fit(train)
+        estimator = model.column_model.intent_estimator
+        assert len(documents) == len(set(documents))
+        assert set(documents) == {tuple(estimator.table_document(t)) for t in train}
+        state, expected = model.state_dict(), reference.state_dict()
+        assert state.keys() == expected.keys()
+        assert all(np.array_equal(state[key], expected[key]) for key in state)
 
     def test_sato_crf_trained(self, trained_sato):
         assert trained_sato.crf is not None

@@ -13,11 +13,31 @@ from repro.topic import (
     topic_type_distribution,
 )
 
+from oracles import choice_lda_fit, choice_lda_transform
+
 
 def _documents():
     sports = [["team", "score", "goal", "win", "league"] for _ in range(15)]
     finance = [["stock", "price", "market", "share", "profit"] for _ in range(15)]
     return sports + finance
+
+
+def _random_documents(n_documents=40, vocabulary_size=120, seed=0):
+    """Documents of 0-40 tokens over ``tok0..``; the first one is empty."""
+    rng = np.random.default_rng(seed)
+    vocabulary = [f"tok{i}" for i in range(vocabulary_size)]
+    sizes = [0] + rng.integers(1, 40, size=n_documents - 1).tolist()
+    return [[vocabulary[i] for i in rng.integers(0, vocabulary_size, size=n)] for n in sizes]
+
+
+def _read_only_copy(lda, **state_overrides):
+    """A fresh model holding ``lda``'s state as non-writeable arrays."""
+    state = {**lda.state_dict(), **state_overrides}
+    for array in state.values():
+        array.setflags(write=False)
+    copy = LatentDirichletAllocation(**lda.config_dict())
+    copy.load_state_dict(state)
+    return copy
 
 
 class TestDictionary:
@@ -101,7 +121,53 @@ class TestLDA:
     def test_deterministic_given_seed(self):
         a = LatentDirichletAllocation(n_topics=3, n_iterations=10, seed=1).fit(_documents())
         b = LatentDirichletAllocation(n_topics=3, n_iterations=10, seed=1).fit(_documents())
-        assert np.allclose(a.transform(["team", "goal"]), b.transform(["team", "goal"]))
+        assert np.array_equal(a.transform(["team", "goal"]), b.transform(["team", "goal"]))
+
+
+class TestSamplerParity:
+    """The inline categorical draw and frozen-φ inference match the
+    ``rng.choice`` sampler (``tests/oracles.py``) bit for bit."""
+
+    @pytest.fixture(scope="class", params=[1, 8, 24, 200])
+    def fitted_pair(self, request):
+        documents = _random_documents()
+        config = dict(n_topics=request.param, n_iterations=4, infer_iterations=6, seed=2)
+        lda = LatentDirichletAllocation(**config).fit(documents)
+        oracle = choice_lda_fit(LatentDirichletAllocation(**config), documents)
+        return lda, oracle
+
+    @staticmethod
+    def _inputs(lda):
+        vocabulary = lda.dictionary.id_to_token
+        rng = np.random.default_rng(7)
+        return {
+            "random": _random_documents(n_documents=6, seed=3)[1:],
+            "empty": [[]],
+            "out_of_vocabulary": [["zzz", "not-a-token", "qqq"]],
+            "wide": [[vocabulary[i] for i in rng.integers(0, len(vocabulary), size=512)]],
+        }
+
+    def test_fit_counts_identical(self, fitted_pair):
+        lda, oracle = fitted_pair
+        assert np.array_equal(lda.topic_token_counts, oracle.topic_token_counts)
+        assert np.array_equal(lda.topic_counts, oracle.topic_counts)
+        assert lda.dictionary.id_to_token == oracle.dictionary.id_to_token
+
+    @pytest.mark.parametrize("kind", ["random", "empty", "out_of_vocabulary", "wide"])
+    def test_transform_identical(self, fitted_pair, kind):
+        # Read-only counts: inference must never write the (shared) model.
+        lda = _read_only_copy(fitted_pair[0])
+        for document in self._inputs(lda)[kind]:
+            assert np.array_equal(lda.transform(document), choice_lda_transform(lda, document))
+
+    def test_fallback_draw_identical(self, fitted_pair):
+        # Infinite topic totals zero every weight, so each draw takes the
+        # uniform ``rng.integers`` fallback instead of the categorical one.
+        lda = fitted_pair[0]
+        lda = _read_only_copy(lda, topic_counts=np.full(lda.n_topics, np.inf))
+        for kind in ("random", "wide"):
+            for document in self._inputs(lda)[kind]:
+                assert np.array_equal(lda.transform(document), choice_lda_transform(lda, document))
 
 
 class TestIntentEstimator:
@@ -127,6 +193,21 @@ class TestIntentEstimator:
         estimator = TableIntentEstimator(n_topics=4)
         with pytest.raises(RuntimeError):
             estimator.topic_vector(corpus_small[0])
+
+    def test_reuse_vectors_infers_each_document_once(self, estimator, corpus_small, monkeypatch):
+        tables = corpus_small[:4]
+        expected = [estimator.topic_vector(t) for t in tables]
+        calls = []
+        transform = estimator.lda.transform
+        monkeypatch.setattr(estimator.lda, "transform", lambda d: calls.append(d) or transform(d))
+        with estimator.reuse_vectors():
+            first = [estimator.topic_vector(t) for t in tables]
+            second = [estimator.topic_vector(t) for t in tables]
+        assert len(calls) == len({tuple(d) for d in calls}) == len(tables)
+        for a, b, c in zip(expected, first, second):
+            assert np.array_equal(a, b) and np.array_equal(a, c)
+        estimator.topic_vector(tables[0])  # outside the block: inferred again
+        assert len(calls) == len(tables) + 1
 
     def test_table_document_ignores_headers(self, estimator):
         table = Table(
